@@ -1,33 +1,33 @@
-"""XL scaling tier: incremental kernels vs frozen rescan baselines.
+"""XL scaling tier: the incremental greedy kernels at scale.
 
-Where ``bench_fastgraph_scaling.py`` compares the array kernels against
-the *dict* reference (and therefore tops out at a few thousand
-versions), this tier compares the incremental array kernels of
-:mod:`repro.fastgraph.solvers` against the frozen rescan-per-round
-baselines of :mod:`repro.fastgraph.rescan` — both flat-array, so the
-ratio isolates exactly what the incremental rewrite buys.  Three panels
-per tier, written to ``BENCH_xl.json`` at the repository root::
+Times the incremental array kernels of :mod:`repro.fastgraph.solvers`
+at sizes the dict reference cannot reach, and checks every plan they
+produce.  Three panels per tier, written to ``BENCH_xl.json`` at the
+repository root::
 
     PYTHONPATH=src python benchmarks/bench_scaling_xl.py          # 20k + 100k
     PYTHONPATH=src python benchmarks/bench_scaling_xl.py --smoke  # CI, < 60 s
 
-* **solve** — LMG / LMG-All / BMR-LMG, incremental vs rescan from a
-  *shared* min-storage start (Edmonds runs once per tier and is timed
-  as its own non-gated metric; it is ~quadratic on bidirectional
-  graphs and deliberately out of scope here).  Emits the gated
-  ``*_speedup`` ratios, per-solver plan-identity booleans and the
-  ``xl_gate_5x`` acceptance flag (every tracked speedup >= 5).
+* **solve** — LMG / LMG-All / BMR-LMG from a *shared* min-storage
+  start (Edmonds runs once per tier and is timed as its own metric; it
+  is ~quadratic on bidirectional graphs and deliberately out of scope
+  here).  Each row records absolute kernel seconds, plan feasibility
+  under the independent :func:`~repro.core.problems.evaluate_plan`,
+  and whether :meth:`~repro.fastgraph.plantree.ArrayPlanTree.
+  check_invariants` holds.  Tiers of at most ``ORACLE_MAX_NODES``
+  versions (the smoke tier) also run the dict reference at the same
+  budget and record whether its parent map equals the kernel's.
 * **sweep** — a budget-grid LMG sweep via trajectory replay, reusing
   the tier's start edges (absolute seconds, untracked).
 * **ingest** — online append throughput: new versions folded into the
   compiled arrays through the mutation-event path (untracked).
 
-The 100k tier skips everything Edmonds-priced or rescan-priced: it runs
-the BMR family (O(V) materialized start) with capped rounds plus the
-ingest panel, proving capability at scale without hour-long baselines.
-Gating happens on the smoke variant: CI runs ``--smoke`` (writing
-``BENCH_xl_smoke.json``) and feeds it to ``repro-versioning
-bench-check`` against the committed baseline — see docs/benchmarks.md.
+The 100k tier skips everything Edmonds-priced: it runs the BMR family
+(O(V) materialized start) with capped rounds plus the ingest panel,
+proving capability at scale.  Gating happens on the smoke variant: CI
+runs ``--smoke`` (writing ``BENCH_xl_smoke.json``) and feeds it to
+``repro-versioning bench-check`` against the committed baseline — see
+docs/benchmarks.md.
 """
 
 from __future__ import annotations
@@ -40,14 +40,15 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.algorithms.bmr_greedy import bmr_lmg
+from repro.algorithms.lmg import lmg
+from repro.algorithms.lmg_all import lmg_all
+from repro.core.graph import GraphError
+from repro.core.problems import evaluate_plan
+from repro.core.tolerance import within_budget_recomputed
 from repro.fastgraph import sweep_greedy_msr
 from repro.fastgraph.arborescence import min_storage_parent_edges
 from repro.fastgraph.plantree import ArrayPlanTree
-from repro.fastgraph.rescan import (
-    _bmr_run_rescan,
-    _lmg_all_run_rescan,
-    _lmg_run_rescan,
-)
 from repro.fastgraph.solvers import (
     _bmr_default_rounds,
     _bmr_run,
@@ -69,9 +70,13 @@ PRESET = "996.ICU"
 FULL_SIZES = (20000, 100000)
 SMOKE_SIZES = (1000,)
 
-#: Rescan baselines (and the shared Edmonds start) are priced out above
-#: this size; larger tiers run capability panels only.
-COMPARE_CAP = 20000
+#: The shared Edmonds start is priced out above this size; larger
+#: tiers run capability panels only.
+EDMONDS_CAP = 20000
+
+#: Tiers up to this size also run the dict reference solvers (seconds
+#: at 1000 versions, minutes beyond 2000) as the plan-identity oracle.
+ORACLE_MAX_NODES = 1000
 
 #: Move cap for the capability tiers (full BMR rounds at 100k versions
 #: would apply ~100k moves; the panel only needs a stable rate sample).
@@ -79,11 +84,6 @@ CAPABILITY_ROUNDS = 20000
 
 #: Versions appended by the ingest panel.
 INGEST_APPENDS = 2000
-
-#: Below this tier size the kernel timings are sub-second and their
-#: ratios are dominated by noise, so the gated ``*_speedup`` keys are
-#: withheld (smoke baselines gate the plan-identity booleans only).
-TRACKED_SPEEDUP_MIN_NODES = 5000
 
 
 def _build(nodes: int):
@@ -97,16 +97,20 @@ def _time(fn, *args, **kwargs) -> tuple[float, object]:
     return time.perf_counter() - t0, out
 
 
-def _same_plan(a: ArrayPlanTree, b: ArrayPlanTree) -> bool:
-    return (
-        np.array_equal(a.parent, b.parent)
-        and a.total_storage == b.total_storage
-        and a.total_retrieval == b.total_retrieval
-    )
+def _invariants_hold(tree: ArrayPlanTree) -> bool:
+    try:
+        tree.check_invariants()
+    except GraphError:
+        return False
+    return True
 
 
-def solve_panel(cg, start_edges) -> tuple[list[dict], dict]:
-    """Incremental vs rescan for the three greedy kernels, shared start."""
+def solve_panel(graph, cg, start_edges, *, oracle: bool) -> list[dict]:
+    """The three greedy kernels from a shared start, each plan checked.
+
+    With ``oracle`` the dict reference solves the same budget and the
+    row records whether the two parent maps are equal.
+    """
     base = ArrayPlanTree(cg, start_edges)
     budget = base.total_storage * 2.0
     # materialized retrieval is 0 everywhere (stored-in-full versions
@@ -121,70 +125,56 @@ def solve_panel(cg, start_edges) -> tuple[list[dict], dict]:
     full_storage = float(cg.edge_storage[cg.aux_edge].sum())
     lmg_budget = base.total_storage + 0.1 * (full_storage - base.total_storage)
 
-    def run_lmg(tree):
-        _lmg_run(
-            cg, tree, _lmg_candidates(cg, tree), lmg_budget, _lmg_default_rounds(cg)
-        )
-
-    def run_lmg_rescan(tree):
-        _lmg_run_rescan(
-            cg, tree, _lmg_candidates(cg, tree), lmg_budget, _lmg_default_rounds(cg)
-        )
-
     cases = [
         (
             "lmg",
             lambda: ArrayPlanTree(cg, start_edges),
-            run_lmg,
-            run_lmg_rescan,
+            lambda t: _lmg_run(
+                cg, t, _lmg_candidates(cg, t), lmg_budget, _lmg_default_rounds(cg)
+            ),
+            lmg,
+            "storage",
             lmg_budget,
         ),
         (
             "lmg-all",
             lambda: ArrayPlanTree(cg, start_edges),
             lambda t: _lmg_all_run(cg, t, budget, _lmg_all_default_rounds(cg)),
-            lambda t: _lmg_all_run_rescan(cg, t, budget, _lmg_all_default_rounds(cg)),
+            lmg_all,
+            "storage",
             budget,
         ),
         (
             "bmr-lmg",
             lambda: _materialized_array_tree(cg),
             lambda t: _bmr_run(cg, t, retrieval_budget, _bmr_default_rounds(cg)),
-            lambda t: _bmr_run_rescan(
-                cg, t, retrieval_budget, _bmr_default_rounds(cg)
-            ),
+            bmr_lmg,
+            "max_retrieval",
             retrieval_budget,
         ),
     ]
     rows = []
-    speedups: dict[str, float] = {}
-    for name, make_tree, run_new, run_old, b in cases:
-        tree_new = make_tree()
-        new_s, _ = _time(run_new, tree_new)
-        tree_old = make_tree()
-        old_s, _ = _time(run_old, tree_old)
-        identical = _same_plan(tree_new, tree_old)
-        speedup = old_s / new_s if new_s > 0 else float("inf")
-        speedups[name] = speedup
-        rows.append(
-            {
-                "solver": name,
-                "budget": b,
-                "incremental_seconds": new_s,
-                "rescan_seconds": old_s,
-                "speedup": speedup,
-                "plans_identical": identical,
-                "storage": tree_new.total_storage,
-                "retrieval": tree_new.total_retrieval,
-            }
-        )
-        status = "OK" if identical else "PLAN MISMATCH"
-        print(
-            f"  solve   {name:<8} incr={new_s:8.2f}s rescan={old_s:8.2f}s "
-            f"speedup={speedup:6.1f}x [{status}]",
-            flush=True,
-        )
-    return rows, speedups
+    for name, make_tree, run, reference, budgeted, b in cases:
+        tree = make_tree()
+        secs, _ = _time(run, tree)
+        score = evaluate_plan(graph, tree.to_plan())
+        row = {
+            "solver": name,
+            "budget": b,
+            "incremental_seconds": secs,
+            "feasible": bool(within_budget_recomputed(getattr(score, budgeted), b)),
+            "invariants_ok": _invariants_hold(tree),
+            "storage": tree.total_storage,
+            "retrieval": tree.total_retrieval,
+        }
+        status = "feasible" if row["feasible"] and row["invariants_ok"] else "BROKEN"
+        if oracle:
+            row["oracle_seconds"], ref = _time(reference, graph, b)
+            row["plans_identical"] = ref.parent == tree.parent_map()
+            status += ", = dict" if row["plans_identical"] else ", PLAN MISMATCH"
+        rows.append(row)
+        print(f"  solve   {name:<8} incr={secs:8.2f}s [{status}]", flush=True)
+    return rows
 
 
 def sweep_panel(cg, start_edges) -> dict:
@@ -209,7 +199,7 @@ def sweep_panel(cg, start_edges) -> dict:
 
 
 def capability_panel(cg) -> dict:
-    """Capped BMR run for tiers too large for the rescan baseline."""
+    """Capped BMR run for tiers too large for the Edmonds start."""
     tree = _materialized_array_tree(cg)
     retrieval_budget = float(cg.edge_retrieval.max()) * 2.0
     rounds = min(CAPABILITY_ROUNDS, _bmr_default_rounds(cg))
@@ -286,11 +276,13 @@ def bench_tier(nodes: int, *, start_cache: str | None = None) -> dict:
         "edges": cg.num_edges,
         "index_dtype": str(np.dtype(cg.index_dtype)),
     }
-    if nodes <= COMPARE_CAP:
+    if nodes <= EDMONDS_CAP:
         ed_s, start_edges = _start_with_cache(cg, start_cache, nodes)
         print(f"  edmonds start in {ed_s:8.2f}s", flush=True)
         tier["edmonds_seconds"] = ed_s
-        tier["solve"], tier["speedups"] = solve_panel(cg, start_edges)
+        tier["solve"] = solve_panel(
+            g, cg, start_edges, oracle=nodes <= ORACLE_MAX_NODES
+        )
         tier["sweep"] = sweep_panel(cg, start_edges)
     else:
         tier["capability"] = capability_panel(cg)
@@ -330,29 +322,25 @@ def main(argv: list[str] | None = None) -> int:
 
     tiers = [bench_tier(n, start_cache=args.start_cache) for n in sizes]
 
-    # gate metrics come from the largest tier that ran the comparison;
-    # tracked *_speedup keys are only emitted for tiers big enough that
-    # the ratios are not sub-second timing noise (smoke runs gate plan
-    # identity only — see docs/benchmarks.md)
-    gated = [t for t in tiers if "speedups" in t]
+    # gate flags cover every solve row: feasibility and invariants on
+    # every tier, plan identity on the tiers that ran the dict oracle
+    rows = [r for t in tiers for r in t.get("solve", [])]
     payload: dict = {"preset": PRESET, "sizes": list(sizes), "tiers": tiers}
-    if gated:
-        top = max(gated, key=lambda t: t["nodes"])
-        speedups = top["speedups"]
-        payload["gate_nodes"] = top["nodes"]
-        payload["all_plans_identical"] = all(
-            r["plans_identical"] for t in gated for r in t["solve"]
+    if rows:
+        payload["gate_nodes"] = max(t["nodes"] for t in tiers if "solve" in t)
+        payload["all_plans_feasible"] = all(
+            r["feasible"] and r["invariants_ok"] for r in rows
         )
-        if top["nodes"] >= TRACKED_SPEEDUP_MIN_NODES:
-            payload["lmg_speedup"] = speedups["lmg"]
-            payload["lmg_all_speedup"] = speedups["lmg-all"]
-            payload["bmr_lmg_speedup"] = speedups["bmr-lmg"]
-            payload["min_speedup"] = min(speedups.values())
-            payload["xl_gate_5x"] = payload["min_speedup"] >= 5.0
+        checked = [r["plans_identical"] for r in rows if "plans_identical" in r]
+        if checked:
+            payload["all_plans_identical"] = all(checked)
     Path(out).write_text(json.dumps(payload, indent=1))
     print(f"wrote {out}")
-    if gated and not payload["all_plans_identical"]:
-        print("FAIL: incremental/rescan plan mismatch", file=sys.stderr)
+    if not payload.get("all_plans_feasible", True):
+        print("FAIL: infeasible plan or broken tree invariants", file=sys.stderr)
+        return 1
+    if not payload.get("all_plans_identical", True):
+        print("FAIL: incremental kernel differs from the dict reference", file=sys.stderr)
         return 1
     return 0
 

@@ -20,8 +20,7 @@ with ``problem in repro.core.problemspec.SPECS``:
   :class:`~repro.fastgraph.CompiledGraph` qualify; DP/ILP solvers have
   no array-tree form and are deliberately absent);
 * :data:`BACKENDS` — explicit backend requests for the greedy family
-  (``"array"`` kernels, the ``"dict"`` reference implementations, and
-  the optional compiled ``"numba"`` kernels).
+  (``"array"`` kernels and the ``"dict"`` reference implementations).
 
 Resolution goes through :func:`get_solver`, :func:`get_sweep` and
 :func:`get_engine_solver`, all taking the problem name first.  Plain
@@ -39,34 +38,17 @@ index per call; sweep code that wants index reuse calls the solver
 classes directly (see :mod:`repro.bench.figures`).  The array kernels
 reuse the compiled graph cached on the :class:`VersionGraph` itself
 (``graph.compile()``), so repeated calls on one graph compile once.
-
-Deprecated surfaces
--------------------
-The pre-refactor twin tables and getters — ``MSR_SOLVERS`` /
-``BMR_SOLVERS``, ``MSR_SWEEPS`` / ``BMR_SWEEPS``, ``ENGINE_SOLVERS`` /
-``BMR_ENGINE_SOLVERS``, ``get_msr_solver`` / ``get_bmr_solver``,
-``get_msr_sweep`` / ``get_bmr_sweep``, ``msr_sweep_start_edges`` and
-the ``get_engine_solver(name, problem)`` argument order — keep
-resolving to the identical objects but emit a ``DeprecationWarning``
-(``tests/test_registry_compat.py``).  The table shims are cached
-*snapshots* of the unified registry: mutate :data:`SOLVERS` etc. when
-patching solvers.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from ..core.graph import GraphError, VersionGraph
 from ..core.problemspec import SPECS, get_spec
 from ..core.solution import StoragePlan
 from ..fastgraph import (
     bmr_lmg_array,
-    bmr_lmg_native,
     lmg_all_array,
-    lmg_all_native,
     lmg_array,
-    lmg_native,
     mp_array,
     mp_local_array,
     sweep_greedy,
@@ -88,14 +70,6 @@ __all__ = [
     "get_sweep",
     "get_engine_solver",
     "sweep_start_edges",
-    # deprecated getter shims (DeprecationWarning on use); the six
-    # deprecated twin tables resolve through module __getattr__ and are
-    # importable by name without being re-exported here
-    "get_msr_solver",
-    "get_bmr_solver",
-    "get_msr_sweep",
-    "get_bmr_sweep",
-    "msr_sweep_start_edges",
 ]
 
 
@@ -128,8 +102,6 @@ def _lmg_all_array(graph: VersionGraph, budget: float) -> StoragePlan | None:
 
 
 def _dp_msr(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    from ..core.graph import GraphError
-
     try:
         return dp_msr(graph, budget).plan
     except GraphError:
@@ -155,8 +127,6 @@ def _mp_array(graph: VersionGraph, budget: float) -> StoragePlan | None:
 
 
 def _dp_bmr(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    from ..core.graph import GraphError
-
     try:
         return dp_bmr_heuristic(graph, budget).plan
     except GraphError:
@@ -193,33 +163,6 @@ def _mp_local_dict(graph: VersionGraph, budget: float) -> StoragePlan | None:
 def _mp_local_array(graph: VersionGraph, budget: float) -> StoragePlan | None:
     try:
         return mp_local_array(graph, budget).to_plan()
-    except ValueError:
-        return None
-
-
-def _lmg_numba(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return lmg_native(graph, budget).to_plan()
-    except GraphError:
-        raise  # numba missing is an environment problem, not a budget outcome
-    except ValueError:
-        return None
-
-
-def _lmg_all_numba(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return lmg_all_native(graph, budget).to_plan()
-    except GraphError:
-        raise
-    except ValueError:
-        return None
-
-
-def _bmr_lmg_numba(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return bmr_lmg_native(graph, budget).to_plan()
-    except GraphError:
-        raise
     except ValueError:
         return None
 
@@ -283,61 +226,46 @@ ENGINE_KERNELS = {
 
 
 #: ``(problem, name)`` -> backend -> callable, for explicit backend
-#: requests (greedy family only).  The ``"numba"`` entries are the
-#: optional compiled kernels of :mod:`repro.fastgraph.native` — they
-#: raise a clear error when numba is not installed; solvers without an
-#: entry for a requested backend resolve to their default.
+#: requests (greedy family only); solvers without an entry resolve to
+#: their single implementation.
 BACKENDS = {
-    ("msr", "lmg"): {"array": _lmg_array, "dict": _lmg_dict, "numba": _lmg_numba},
-    ("msr", "lmg-all"): {
-        "array": _lmg_all_array,
-        "dict": _lmg_all_dict,
-        "numba": _lmg_all_numba,
-    },
+    ("msr", "lmg"): {"array": _lmg_array, "dict": _lmg_dict},
+    ("msr", "lmg-all"): {"array": _lmg_all_array, "dict": _lmg_all_dict},
     ("bmr", "mp"): {"array": _mp_array, "dict": _mp_dict},
     ("bmr", "mp-local"): {"array": _mp_local_array, "dict": _mp_local_dict},
-    ("bmr", "bmr-lmg"): {
-        "array": _bmr_lmg_array,
-        "dict": _bmr_lmg_dict,
-        "numba": _bmr_lmg_numba,
-    },
+    ("bmr", "bmr-lmg"): {"array": _bmr_lmg_array, "dict": _bmr_lmg_dict},
 }
 
-_BACKEND_NAMES = ("array", "dict", "numba")
+_BACKEND_NAMES = ("array", "dict")
 
 
-def _names(table: dict, problem: str) -> list[str]:
-    """Sorted solver names registered for ``problem`` in ``table``."""
-    return sorted(n for p, n in table if p == problem)
-
-
-def _other_problem(problem: str) -> str | None:
-    """The one other registered family, or None with >2 families."""
+def _unknown_name(table: dict, problem: str, name: str, kind: str) -> KeyError:
+    """The pinned unknown-name error: the valid options for ``problem``
+    plus a cross-family hint when ``name`` belongs to the other family."""
+    options = sorted(n for p, n in table if p == problem)
     others = [p for p in SPECS if p != problem]
-    return others[0] if len(others) == 1 else None
+    hint = (
+        f" ({name!r} is a {others[0].upper()} {kind})"
+        if len(others) == 1 and (others[0], name) in table
+        else ""
+    )
+    return KeyError(
+        f"unknown {problem.upper()} {kind} {name!r}; options: {options}{hint}"
+    )
 
 
 def get_solver(problem: str, name: str, backend: str | None = None):
     """Look up a plan-level solver for ``problem`` by ``name``.
 
-    ``backend`` picks ``"array"``, ``"dict"`` or ``"numba"`` for the
-    greedy family; solvers without that variant resolve to their
-    default implementation.  Raises ``ValueError`` for unknown problems and
+    ``backend`` picks ``"array"`` or ``"dict"`` for the greedy family;
+    solvers without that variant resolve to their single
+    implementation.  Raises ``ValueError`` for unknown problems and
     ``KeyError`` — with a cross-family hint when the name belongs to
     the other family — for unknown solver names or backends.
     """
     problem = get_spec(problem).name
     if (problem, name) not in SOLVERS:
-        other = _other_problem(problem)
-        hint = (
-            f" ({name!r} is a {other.upper()} solver; use get_{other}_solver)"
-            if other is not None and (other, name) in SOLVERS
-            else ""
-        )
-        raise KeyError(
-            f"unknown {problem.upper()} solver {name!r}; "
-            f"options: {_names(SOLVERS, problem)}{hint}"
-        )
+        raise _unknown_name(SOLVERS, problem, name, "solver")
     if backend is None:
         return SOLVERS[(problem, name)]
     if backend not in _BACKEND_NAMES:
@@ -357,8 +285,12 @@ def get_sweep(problem: str, name: str):
     return SWEEPS.get((problem, name))
 
 
-def _engine_lookup(problem: str, name: str):
-    """Engine-kernel lookup with the pinned engine error messages."""
+def get_engine_solver(problem: str, name: str):
+    """Tree-level solver for the ingest engine: ``(problem, name)``.
+
+    Raises ``ValueError`` for unknown problems and ``KeyError`` with
+    the valid options for unknown or non-engine-capable solver names.
+    """
     if problem not in SPECS:
         raise ValueError(
             f"unknown engine problem {problem!r}; options: {sorted(SPECS)}"
@@ -366,70 +298,7 @@ def _engine_lookup(problem: str, name: str):
     try:
         return ENGINE_KERNELS[(problem, name)]
     except KeyError:
-        other = _other_problem(problem)
-        hint = (
-            f" ({name!r} is a {other.upper()} engine solver)"
-            if other is not None and (other, name) in ENGINE_KERNELS
-            else ""
-        )
-        raise KeyError(
-            f"unknown {problem.upper()} engine solver {name!r}; "
-            f"options: {_names(ENGINE_KERNELS, problem)}{hint}"
-        ) from None
-
-
-def get_engine_solver(*args, problem: str | None = None, name: str | None = None):
-    """Tree-level solver for the ingest engine: ``(problem, name)``.
-
-    Raises ``ValueError`` for unknown problems and ``KeyError`` with
-    the valid options for unknown or non-engine-capable solver names.
-
-    The pre-refactor call shapes — positional ``get_engine_solver(name,
-    problem)``, keyword ``get_engine_solver(name, problem="bmr")`` and
-    single-argument ``get_engine_solver(name)`` — still resolve
-    (problem names and solver names never collide) but emit a
-    ``DeprecationWarning``.
-    """
-    legacy = "get_engine_solver(name, problem)"
-    new = "get_engine_solver(problem, name)"
-    if len(args) > 2 or (args and len(args) + (problem is not None) + (name is not None) > 2):
-        raise TypeError("get_engine_solver takes (problem, name)")
-    if len(args) == 2:
-        first, second = args
-        if first in SPECS:
-            return _engine_lookup(first, second)
-        if second in SPECS or any(first == n for _, n in ENGINE_KERNELS):
-            # unambiguously the legacy (name, problem) order: the
-            # second argument is a problem, or the first is a known
-            # engine solver name (covers legacy calls with a bad
-            # problem, whose error message is pinned)
-            _deprecated(legacy, new)
-            return _engine_lookup(second, first)
-        # neither reading is registered: report against the documented
-        # new order so a typo'd family name is blamed correctly
-        raise ValueError(
-            f"unknown engine problem {first!r}; options: {sorted(SPECS)}"
-        )
-    if len(args) == 1:
-        if problem is not None:
-            # legacy keyword form: get_engine_solver("mp", problem="bmr")
-            _deprecated(legacy, new)
-            return _engine_lookup(problem, args[0])
-        if name is not None:
-            return _engine_lookup(args[0], name)
-        if args[0] in SPECS:
-            raise TypeError(
-                "get_engine_solver(problem, name) requires a solver name"
-            )
-        _deprecated(legacy, new)
-        return _engine_lookup("msr", args[0])
-    if problem is not None and name is not None:
-        # fully keyworded: identical semantics in both call shapes
-        return _engine_lookup(problem, name)
-    if name is not None:
-        _deprecated(legacy, new)
-        return _engine_lookup("msr", name)
-    raise TypeError("get_engine_solver(problem, name) requires a solver name")
+        raise _unknown_name(ENGINE_KERNELS, problem, name, "engine solver") from None
 
 
 def sweep_start_edges(
@@ -451,73 +320,3 @@ def sweep_start_edges(
     from ..fastgraph.arborescence import min_storage_parent_edges
 
     return min_storage_parent_edges(graph.compile())
-
-
-# ----------------------------------------------------------------------
-# deprecated pre-ProblemSpec surfaces
-# ----------------------------------------------------------------------
-def _deprecated(old: str, new: str) -> None:
-    """Emit the registry's standard deprecation warning."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} (see repro.algorithms.registry)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-_DEPRECATED_TABLES = {
-    "MSR_SOLVERS": (SOLVERS, "msr", 'SOLVERS[("msr", name)]'),
-    "BMR_SOLVERS": (SOLVERS, "bmr", 'SOLVERS[("bmr", name)]'),
-    "MSR_SWEEPS": (SWEEPS, "msr", 'SWEEPS[("msr", name)]'),
-    "BMR_SWEEPS": (SWEEPS, "bmr", 'SWEEPS[("bmr", name)]'),
-    "ENGINE_SOLVERS": (ENGINE_KERNELS, "msr", 'ENGINE_KERNELS[("msr", name)]'),
-    "BMR_ENGINE_SOLVERS": (ENGINE_KERNELS, "bmr", 'ENGINE_KERNELS[("bmr", name)]'),
-}
-
-_table_views: dict[str, dict] = {}
-
-
-def __getattr__(attr: str):
-    """Serve the deprecated twin tables as cached family snapshots."""
-    if attr in _DEPRECATED_TABLES:
-        table, problem, new = _DEPRECATED_TABLES[attr]
-        _deprecated(attr, new)
-        if attr not in _table_views:
-            _table_views[attr] = {
-                n: fn for (p, n), fn in table.items() if p == problem
-            }
-        return _table_views[attr]
-    raise AttributeError(f"module {__name__!r} has no attribute {attr!r}")
-
-
-def get_msr_solver(name: str, backend: str | None = None):
-    """Deprecated: use ``get_solver("msr", name, backend)``."""
-    _deprecated("get_msr_solver(name)", 'get_solver("msr", name)')
-    return get_solver("msr", name, backend)
-
-
-def get_bmr_solver(name: str, backend: str | None = None):
-    """Deprecated: use ``get_solver("bmr", name, backend)``."""
-    _deprecated("get_bmr_solver(name)", 'get_solver("bmr", name)')
-    return get_solver("bmr", name, backend)
-
-
-def get_msr_sweep(name: str):
-    """Deprecated: use ``get_sweep("msr", name)``."""
-    _deprecated("get_msr_sweep(name)", 'get_sweep("msr", name)')
-    return get_sweep("msr", name)
-
-
-def get_bmr_sweep(name: str):
-    """Deprecated: use ``get_sweep("bmr", name)``."""
-    _deprecated("get_bmr_sweep(name)", 'get_sweep("bmr", name)')
-    return get_sweep("bmr", name)
-
-
-def msr_sweep_start_edges(graph: VersionGraph, solvers) -> list | None:
-    """Deprecated: use ``sweep_start_edges("msr", graph, solvers)``."""
-    _deprecated(
-        "msr_sweep_start_edges(graph, solvers)",
-        'sweep_start_edges("msr", graph, solvers)',
-    )
-    return sweep_start_edges("msr", graph, solvers)

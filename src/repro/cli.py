@@ -41,8 +41,9 @@ Notes
   below the minimum storage configuration, or a negative BMR retrieval
   budget), whether the solver signals that by returning ``None`` or by
   raising ``ValueError``.  Exit code 2 is reserved for usage errors,
-  including structural :class:`~repro.core.graph.GraphError` problems
-  with the input graph (reported as ``error:`` on stderr).
+  including unknown or wrong-family ``--solver`` names and structural
+  :class:`~repro.core.graph.GraphError` problems with the input graph
+  (reported as ``error:`` on stderr).
 * ``solve --backend`` picks the greedy implementation: ``array`` (the
   default — the flat-array kernels from :mod:`repro.fastgraph`) or
   ``dict`` (the reference implementation).  Both produce identical
@@ -100,10 +101,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     try:
         graph = _load_graph(args.graph)
-    except (OSError, GraphError, ValueError) as err:
+        solver = get_solver(args.problem, args.solver, backend=args.backend)
+    except (OSError, KeyError, GraphError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    solver = get_solver(args.problem, args.solver, backend=args.backend)
     try:
         plan = solver(graph, args.budget)
     except GraphError as err:

@@ -31,12 +31,12 @@ live greedy from a cloned tree on the rare divergence.
 Incremental scoring
 -------------------
 The round runners are *incremental*: instead of re-deriving every
-candidate's gain and feasibility from the tree each round (preserved as
-the :mod:`~repro.fastgraph.rescan` baselines), they hold the per-move
-quantities that feed the masked argmax — ``ds``/``reduction`` per LMG
-candidate, ``ds``/``dr``/``shift``/cycle/tree-edge masks per edge for
-LMG-All and BMR — in live arrays across rounds, and after each applied
-swap recompute only the entries the move invalidated.  A swap of
+candidate's gain and feasibility from the tree each round, they hold
+the per-move quantities that feed the masked argmax — ``ds``/
+``reduction`` per LMG candidate, ``ds``/``dr``/``shift``/cycle/
+tree-edge masks per edge for LMG-All and BMR — in live arrays across
+rounds, and after each applied swap recompute only the entries the
+move invalidated.  A swap of
 ``v``'s subtree from ``p`` to ``u`` perturbs retrieval inside
 ``subtree(v)`` (one Euler-interval preorder slice), subtree sizes on
 the ancestors of ``p`` and ``u`` (two interval-containment masks), and
@@ -163,8 +163,7 @@ def _lmg_run(
     chain — so a max-heap keyed ``(-score, position)`` whose stale tops
     are re-keyed on pop always surfaces the true maximum, and the
     position tie-break reproduces ``np.argmax``'s first-maximum rule
-    over the rescan baseline's compacted ``live`` array (compaction
-    preserves order).  The two score tiers stay exact: the inf tier
+    over the candidate array in its original order.  The two score tiers stay exact: the inf tier
     (``ds <= 0``, always within budget while the loop runs) can only
     lose members, so every inf-tier round precedes every ratio-tier
     round; once the ratio tier is in charge ``total_storage`` is
@@ -358,7 +357,7 @@ def _lmg_all_run(
     (retrieval shifted) or entering an old/new ancestor (size changed),
     and the cycle mask for edges *leaving* ``subtree(v)`` (the only
     sources whose ancestor chain changed).  All recomputed with the
-    rescan expressions — state stays bit-equal to a full rescan.
+    full-scan expressions — state stays bit-equal to a full rescan.
     """
     aux = cg.aux
     src, dst = cg.edge_src, cg.edge_dst

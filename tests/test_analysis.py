@@ -133,23 +133,21 @@ class TestSpecRouting:
 
 
 class TestRegistryDiscipline:
-    def test_flags_table_subscripts_and_shims(self):
+    def test_flags_table_subscripts(self):
         findings = run_rule(
             "registry-discipline",
             """\
-            from repro.algorithms.registry import SOLVERS, get_msr_solver
+            from repro.algorithms.registry import BACKENDS, SOLVERS
 
             def pick(name):
                 solver = SOLVERS[("msr", name)]
-                legacy = get_msr_solver(name)
-                return solver, legacy
+                ref = BACKENDS[("msr", name)]["dict"]
+                return solver, ref
             """,
         )
         assert all(f.rule == "registry-discipline" for f in findings)
-        # the deprecated import itself, the subscript, and the shim call
-        assert 1 in lines_of(findings)
-        assert 4 in lines_of(findings)
-        assert 5 in lines_of(findings)
+        # one finding per subscripted table; the import itself is fine
+        assert lines_of(findings) == [4, 5]
 
     def test_getters_pass(self):
         findings = run_rule(

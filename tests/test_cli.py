@@ -81,9 +81,21 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["max_retrieval"] <= 600
 
-    def test_unknown_solver(self, graph_file):
-        with pytest.raises(KeyError):
-            main(["solve", "msr", graph_file, "--budget", "21000", "--solver", "nope"])
+    def test_unknown_solver(self, graph_file, capsys):
+        rc = main(["solve", "msr", graph_file, "--budget", "21000", "--solver", "nope"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "unknown MSR solver 'nope'" in captured.err
+        assert captured.out == ""
+
+    def test_wrong_family_solver_exits_2(self, graph_file, capsys):
+        rc = main(["solve", "msr", graph_file, "--budget", "1e12", "--solver", "mp"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "('mp' is a BMR solver)" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestDataset:

@@ -1,13 +1,10 @@
-"""Three-way plan identity for the incremental greedy kernels.
+"""Plan identity for the incremental greedy kernels.
 
-The incremental kernels (:mod:`repro.fastgraph.solvers`), the frozen
-rescan baselines (:mod:`repro.fastgraph.rescan`) and the optional
-native kernels (:mod:`repro.fastgraph.native`, exercised through the
-pure-python ``njit`` fallback when numba is absent) are three
-independent implementations of the same greedy loops.  All must
-produce *bit-identical* plans to each other and to the dict reference,
-across presets, random graphs and budget regimes — this is the
-non-negotiable acceptance bar for the incremental rewrite.
+The incremental array kernels (:mod:`repro.fastgraph.solvers`) and the
+dict reference implementations are two independent implementations of
+the same greedy loops.  They must produce *identical* parent maps
+across presets, random graphs and budget regimes — the non-negotiable
+acceptance bar for the fast path.
 
 Also covered here: the fresh-path (vectorized, Euler-maintaining) swap
 application agreeing with the python-walk path on arbitrary admissible
@@ -22,8 +19,6 @@ import pytest
 from repro.algorithms.bmr_greedy import bmr_lmg
 from repro.algorithms.lmg import lmg
 from repro.algorithms.lmg_all import lmg_all
-from repro.fastgraph import native, rescan
-from repro.fastgraph import solvers as solvers_mod
 from repro.fastgraph.solvers import (
     _materialized_array_tree,
     _min_storage_array_tree,
@@ -62,26 +57,15 @@ def bmr_budgets(graph):
     return [top * 2.0, top * 8.0]
 
 
-def assert_same_tree(a, b):
-    assert a.parent_map() == b.parent_map()
-    assert a.total_storage == b.total_storage
-    assert a.total_retrieval == b.total_retrieval
-
-
 class TestThreeWayIdentity:
+    """Array kernel vs dict reference, plus the infeasibility contract."""
+
     @pytest.mark.parametrize("name,graph", list(graphs()))
     def test_lmg_variants_match_dict(self, name, graph):
         for budget in msr_budgets(graph):
             ref = lmg(graph, budget)
             arr = lmg_array(graph, budget)
             assert ref.parent == arr.parent_map(), (name, budget)
-            res = rescan.lmg_array_rescan(graph, budget)
-            assert_same_tree(arr, res)
-            cg = graph.compile()
-            nat = native._lmg_native_tree(
-                cg, budget, solvers_mod._lmg_default_rounds(cg)
-            )
-            assert_same_tree(arr, nat)
 
     @pytest.mark.parametrize("name,graph", list(graphs()))
     def test_lmg_all_variants_match_dict(self, name, graph):
@@ -89,13 +73,6 @@ class TestThreeWayIdentity:
             ref = lmg_all(graph, budget)
             arr = lmg_all_array(graph, budget)
             assert ref.parent == arr.parent_map(), (name, budget)
-            res = rescan.lmg_all_array_rescan(graph, budget)
-            assert_same_tree(arr, res)
-            cg = graph.compile()
-            nat = native._lmg_all_native_tree(
-                cg, budget, solvers_mod._lmg_all_default_rounds(cg)
-            )
-            assert_same_tree(arr, nat)
 
     @pytest.mark.parametrize("name,graph", list(graphs()))
     def test_bmr_lmg_variants_match_dict(self, name, graph):
@@ -103,29 +80,16 @@ class TestThreeWayIdentity:
             ref = bmr_lmg(graph, budget)
             arr = bmr_lmg_array(graph, budget)
             assert ref.parent == arr.parent_map(), (name, budget)
-            res = rescan.bmr_lmg_array_rescan(graph, budget)
-            assert_same_tree(arr, res)
-            cg = graph.compile()
-            nat = native._bmr_native_tree(
-                cg, budget, solvers_mod._bmr_default_rounds(cg)
-            )
-            assert_same_tree(arr, nat)
 
     def test_infeasible_budgets_raise_everywhere(self):
         graph = random_digraph(30, seed=3)
         cg = graph.compile()
         low = _min_storage_array_tree(cg).total_storage * 0.5
-        for solver in (
-            lmg_array,
-            rescan.lmg_array_rescan,
-            lmg_all_array,
-            rescan.lmg_all_array_rescan,
-        ):
+        for solver in (lmg_array, lmg_all_array):
             with pytest.raises(ValueError, match="MSR infeasible"):
                 solver(graph, low)
-        for solver in (bmr_lmg_array, rescan.bmr_lmg_array_rescan):
-            with pytest.raises(ValueError, match="infeasible"):
-                solver(graph, -1.0)
+        with pytest.raises(ValueError, match="infeasible"):
+            bmr_lmg_array(graph, -1.0)
 
 
 class TestSwapPathEquivalence:
@@ -157,7 +121,9 @@ class TestSwapPathEquivalence:
             if eid is None:
                 break
             fresh.apply_swap_edge(eid)
-            walk._apply_swap_rescan(eid)
+            walk._apply_swap_python(
+                eid, int(cg.edge_src[eid]), int(cg.edge_dst[eid])
+            )
             assert not fresh._order_dirty  # stayed on the fresh path
         assert np.array_equal(fresh.parent, walk.parent)
         assert np.array_equal(fresh.par_edge, walk.par_edge)
@@ -203,30 +169,3 @@ class TestSwapPathEquivalence:
             got = tree.subtree_max_retrieval()  # partial refresh
             cold = tree.clone().subtree_max_retrieval()  # cold rebuild
             assert np.array_equal(got, cold)
-
-
-class TestNativeBackendSeam:
-    def test_missing_numba_raises_clearly(self):
-        if native.HAVE_NUMBA:
-            pytest.skip("numba installed: the guard never fires")
-        graph = random_digraph(10, seed=1)
-        with pytest.raises(Exception, match="requires the optional numba"):
-            native.lmg_native(graph, 1e9)
-
-    @pytest.mark.skipif(not native.HAVE_NUMBA, reason="numba not installed")
-    def test_public_native_solvers_match_array(self):
-        graph = random_digraph(80, extra_edge_prob=0.2, seed=4)
-        budget = _min_storage_array_tree(graph.compile()).total_storage * 2.0
-        assert_same_tree(native.lmg_native(graph, budget), lmg_array(graph, budget))
-        assert_same_tree(
-            native.lmg_all_native(graph, budget), lmg_all_array(graph, budget)
-        )
-        cg = graph.compile()
-        top = float(cg.edge_retrieval.max()) * 4.0
-        assert_same_tree(native.bmr_lmg_native(graph, top), bmr_lmg_array(graph, top))
-
-    def test_registry_exposes_numba_backend(self):
-        from repro.algorithms.registry import BACKENDS
-
-        for key in (("msr", "lmg"), ("msr", "lmg-all"), ("bmr", "bmr-lmg")):
-            assert "numba" in BACKENDS[key]
