@@ -32,8 +32,7 @@ and registering them; no layer grows a new branch (see
 
 This module is deliberately the **only** place in ``src/repro`` where
 per-problem behavior is defined by problem identity; a repo-level grep
-for ``problem == "bmr"`` outside it (and the registry's deprecation
-shims) must come back empty.
+for ``problem == "bmr"`` outside it must come back empty.
 """
 
 from __future__ import annotations
