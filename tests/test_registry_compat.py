@@ -1,176 +1,12 @@
-"""Back-compat shims for the pre-ProblemSpec registry surfaces.
+"""CLI-facing registry strings that callers and scripts match on.
 
-The unified ``(problem, name)`` registry replaced six twin tables and
-five twin getters.  The old names must keep resolving — to the
-*identical* solver objects — while emitting ``DeprecationWarning``,
-and the cross-family KeyError hints must survive verbatim (they are
-pinned CLI-facing strings).
+The cross-family ``KeyError`` hints are pinned: the unified
+``(problem, name)`` resolver must keep producing them byte-for-byte.
 """
-
-import warnings
 
 import pytest
 
-from repro.algorithms import registry
-from repro.algorithms.registry import (
-    BACKENDS,
-    ENGINE_KERNELS,
-    SOLVERS,
-    SWEEPS,
-    get_engine_solver,
-    get_solver,
-    get_sweep,
-    sweep_start_edges,
-)
-from repro.core.problemspec import SPECS
-from repro.gen import natural_graph
-
-#: The frozen pre-refactor solver-name sets: the unified registry must
-#: expose exactly these (no silent drops), mirrored by the CI smoke
-#: assertion in .github/workflows/ci.yml.
-EXPECTED_NAMES = [
-    (SOLVERS, "msr", ["dp-msr", "ilp", "lmg", "lmg-all"]),
-    (SOLVERS, "bmr", ["bmr-lmg", "dp-bmr", "ilp", "mp", "mp-local"]),
-    (SWEEPS, "msr", ["lmg", "lmg-all"]),
-    (SWEEPS, "bmr", ["bmr-lmg"]),
-    (ENGINE_KERNELS, "msr", ["lmg", "lmg-all"]),
-    (ENGINE_KERNELS, "bmr", ["bmr-lmg", "mp", "mp-local"]),
-]
-
-
-def names(table, problem):
-    return sorted(n for p, n in table if p == problem)
-
-
-class TestUnifiedTables:
-    def test_no_silent_solver_drops(self):
-        for table, problem, expected in EXPECTED_NAMES:
-            assert names(table, problem) == expected
-
-    def test_every_key_problem_is_registered(self):
-        for table in (SOLVERS, SWEEPS, ENGINE_KERNELS, BACKENDS):
-            for problem, _name in table:
-                assert problem in SPECS
-
-    def test_new_getters_resolve_every_entry(self):
-        for (problem, name), fn in SOLVERS.items():
-            assert get_solver(problem, name) is fn
-        for (problem, name), fn in SWEEPS.items():
-            assert get_sweep(problem, name) is fn
-        for (problem, name), fn in ENGINE_KERNELS.items():
-            assert get_engine_solver(problem, name) is fn
-
-    def test_unknown_problem_everywhere(self):
-        with pytest.raises(ValueError, match="unknown problem 'mmr'"):
-            get_solver("mmr", "lmg")
-        with pytest.raises(ValueError, match="unknown problem 'mmr'"):
-            get_sweep("mmr", "lmg")
-        # an unknown first argument falls to the legacy (name, problem)
-        # order, preserving the pinned pre-refactor messages
-        with pytest.warns(DeprecationWarning), pytest.raises(
-            ValueError, match="unknown engine problem 'mmr'"
-        ):
-            get_engine_solver("lmg", "mmr")
-        with pytest.warns(DeprecationWarning), pytest.raises(
-            KeyError, match="unknown MSR engine solver 'mmr'"
-        ):
-            get_engine_solver("mmr")
-
-    def test_new_engine_getter_requires_name(self):
-        with pytest.raises(TypeError, match="requires a solver name"):
-            get_engine_solver("msr")
-
-
-class TestDeprecatedTables:
-    @pytest.mark.parametrize(
-        "old,table,problem",
-        [
-            ("MSR_SOLVERS", SOLVERS, "msr"),
-            ("BMR_SOLVERS", SOLVERS, "bmr"),
-            ("MSR_SWEEPS", SWEEPS, "msr"),
-            ("BMR_SWEEPS", SWEEPS, "bmr"),
-            ("ENGINE_SOLVERS", ENGINE_KERNELS, "msr"),
-            ("BMR_ENGINE_SOLVERS", ENGINE_KERNELS, "bmr"),
-        ],
-    )
-    def test_view_matches_unified_table(self, old, table, problem):
-        with pytest.warns(DeprecationWarning, match=old):
-            view = getattr(registry, old)
-        assert sorted(view) == names(table, problem)
-        for name, fn in view.items():
-            assert fn is table[(problem, name)]  # identical objects
-
-    def test_views_are_stable_objects(self):
-        with pytest.warns(DeprecationWarning):
-            a = registry.MSR_SOLVERS
-        with pytest.warns(DeprecationWarning):
-            b = registry.MSR_SOLVERS
-        assert a is b
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            registry.NOT_A_TABLE
-
-
-class TestDeprecatedGetters:
-    def test_solver_getters_delegate(self):
-        with pytest.warns(DeprecationWarning, match="get_msr_solver"):
-            assert registry.get_msr_solver("lmg") is get_solver("msr", "lmg")
-        with pytest.warns(DeprecationWarning, match="get_bmr_solver"):
-            assert registry.get_bmr_solver("mp") is get_solver("bmr", "mp")
-        with pytest.warns(DeprecationWarning):
-            dict_lmg = registry.get_msr_solver("lmg", backend="dict")
-        assert dict_lmg is BACKENDS[("msr", "lmg")]["dict"]
-
-    def test_sweep_getters_delegate(self):
-        with pytest.warns(DeprecationWarning, match="get_msr_sweep"):
-            assert registry.get_msr_sweep("lmg") is get_sweep("msr", "lmg")
-        with pytest.warns(DeprecationWarning, match="get_bmr_sweep"):
-            assert registry.get_bmr_sweep("bmr-lmg") is get_sweep("bmr", "bmr-lmg")
-        with pytest.warns(DeprecationWarning):
-            assert registry.get_msr_sweep("dp-msr") is None
-
-    def test_engine_getter_legacy_order(self):
-        with pytest.warns(DeprecationWarning, match="get_engine_solver"):
-            legacy = get_engine_solver("lmg")
-        assert legacy is get_engine_solver("msr", "lmg")
-        with pytest.warns(DeprecationWarning):
-            legacy_bmr = get_engine_solver("mp-local", "bmr")
-        assert legacy_bmr is get_engine_solver("bmr", "mp-local")
-
-    def test_engine_getter_new_order_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            get_engine_solver("msr", "lmg")
-            get_engine_solver("bmr", "bmr-lmg")
-            get_engine_solver("msr", name="lmg")
-            get_engine_solver(problem="bmr", name="mp-local")
-
-    def test_engine_getter_legacy_keyword_forms(self):
-        # the pre-refactor signature was (name, problem="msr"): keyword
-        # callers of the old shape must keep resolving with a warning
-        with pytest.warns(DeprecationWarning):
-            kw = get_engine_solver("mp-local", problem="bmr")
-        assert kw is get_engine_solver("bmr", "mp-local")
-        with pytest.warns(DeprecationWarning):
-            name_only = get_engine_solver(name="lmg-all")
-        assert name_only is get_engine_solver("msr", "lmg-all")
-
-    def test_engine_getter_unknown_new_order_family_blamed_correctly(self):
-        # a typo'd family in the documented new order must not be
-        # misread as a legacy solver name (no warning, right argument)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(ValueError, match="unknown engine problem 'bsr'"):
-                get_engine_solver("bsr", "lmg")
-
-    def test_start_edges_shim(self):
-        g = natural_graph(15, seed=3)
-        with pytest.warns(DeprecationWarning, match="msr_sweep_start_edges"):
-            old = registry.msr_sweep_start_edges(g, ["lmg"])
-        assert old == sweep_start_edges("msr", g, ["lmg"])
-        # families without an arborescence start share nothing
-        assert sweep_start_edges("bmr", g, ["bmr-lmg"]) is None
+from repro.algorithms.registry import get_engine_solver, get_solver
 
 
 class TestPinnedHintsSurviveVerbatim:
@@ -180,10 +16,12 @@ class TestPinnedHintsSurviveVerbatim:
     def test_solver_hints(self):
         with pytest.raises(KeyError) as exc:
             get_solver("msr", "mp")
-        assert "('mp' is a BMR solver; use get_bmr_solver)" in str(exc.value)
+        assert "('mp' is a BMR solver)" in str(exc.value)
         with pytest.raises(KeyError) as exc:
             get_solver("bmr", "lmg-all")
-        assert "('lmg-all' is a MSR solver; use get_msr_solver)" in str(exc.value)
+        assert "('lmg-all' is a MSR solver)" in str(exc.value)
+        # the hint names no getter: there is one getter for both families
+        assert "get_" not in str(exc.value)
 
     def test_engine_hints(self):
         with pytest.raises(KeyError) as exc:
@@ -192,10 +30,3 @@ class TestPinnedHintsSurviveVerbatim:
         with pytest.raises(KeyError) as exc:
             get_engine_solver("bmr", "lmg")
         assert "('lmg' is a MSR engine solver)" in str(exc.value)
-
-    def test_old_and_new_paths_raise_identical_messages(self):
-        with pytest.raises(KeyError) as new_exc:
-            get_solver("msr", "nope")
-        with pytest.warns(DeprecationWarning), pytest.raises(KeyError) as old_exc:
-            registry.get_msr_solver("nope")
-        assert str(new_exc.value) == str(old_exc.value)
