@@ -2,19 +2,23 @@
 
 Times the incremental array kernels of :mod:`repro.fastgraph.solvers`
 at sizes the dict reference cannot reach, and checks every plan they
-produce.  Three panels per tier, written to ``BENCH_xl.json`` at the
-repository root::
+produce.  Every tier times the min-storage start tree
+(``edmonds_seconds``, the walk-driven contraction of
+:mod:`repro.fastgraph.arborescence`, seconds at 100k versions); tiers
+of at most ``ORACLE_MAX_NODES`` versions also run the dict
+:func:`~repro.algorithms.arborescence.min_storage_arborescence` and
+record whether the parent maps are equal (``start_identical``).  Three
+panels per tier, written to ``BENCH_xl.json`` at the repository root::
 
     PYTHONPATH=src python benchmarks/bench_scaling_xl.py          # 20k + 100k
     PYTHONPATH=src python benchmarks/bench_scaling_xl.py --smoke  # CI, < 60 s
 
-* **solve** — LMG / LMG-All / BMR-LMG from a *shared* min-storage
-  start (Edmonds runs once per tier and is timed as its own metric; it
-  is ~quadratic on bidirectional graphs and deliberately out of scope
-  here).  Each row records absolute kernel seconds, plan feasibility
-  under the independent :func:`~repro.core.problems.evaluate_plan`,
-  and whether :meth:`~repro.fastgraph.plantree.ArrayPlanTree.
-  check_invariants` holds.  Tiers of at most ``ORACLE_MAX_NODES``
+* **solve** — LMG / LMG-All / BMR-LMG from the tier's *shared*
+  min-storage start.  Each row records absolute kernel seconds, plan
+  feasibility under the independent
+  :func:`~repro.core.problems.evaluate_plan`, and whether
+  :meth:`~repro.fastgraph.plantree.ArrayPlanTree.check_invariants`
+  holds.  Tiers of at most ``ORACLE_MAX_NODES``
   versions (the smoke tier) also run the dict reference at the same
   budget and record whether its parent map equals the kernel's.
 * **sweep** — a budget-grid LMG sweep via trajectory replay, reusing
@@ -22,12 +26,12 @@ repository root::
 * **ingest** — online append throughput: new versions folded into the
   compiled arrays through the mutation-event path (untracked).
 
-The 100k tier skips everything Edmonds-priced: it runs the BMR family
-(O(V) materialized start) with capped rounds plus the ingest panel,
-proving capability at scale.  Gating happens on the smoke variant: CI
-runs ``--smoke`` (writing ``BENCH_xl_smoke.json``) and feeds it to
-``repro-versioning bench-check`` against the committed baseline — see
-docs/benchmarks.md.
+Tiers above ``SOLVE_CAP`` (the 100k tier) time the start tree, then
+run the BMR family (O(V) materialized start) with capped rounds plus
+the ingest panel, proving capability at scale.  Gating happens on the
+smoke variant: CI runs ``--smoke`` (writing ``BENCH_xl_smoke.json``)
+and feeds it to ``repro-versioning bench-check`` against the committed
+baseline — see docs/benchmarks.md.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.algorithms.arborescence import min_storage_arborescence
 from repro.algorithms.bmr_greedy import bmr_lmg
 from repro.algorithms.lmg import lmg
 from repro.algorithms.lmg_all import lmg_all
@@ -70,12 +75,13 @@ PRESET = "996.ICU"
 FULL_SIZES = (20000, 100000)
 SMOKE_SIZES = (1000,)
 
-#: The shared Edmonds start is priced out above this size; larger
-#: tiers run capability panels only.
-EDMONDS_CAP = 20000
+#: Largest tier that runs the solve and sweep panels; larger tiers time
+#: the start tree and run capability panels only.
+SOLVE_CAP = 20000
 
-#: Tiers up to this size also run the dict reference solvers (seconds
-#: at 1000 versions, minutes beyond 2000) as the plan-identity oracle.
+#: Tiers up to this size also run the dict reference arborescence and
+#: solvers (seconds at 1000 versions, minutes beyond 2000) as the
+#: plan-identity oracle.
 ORACLE_MAX_NODES = 1000
 
 #: Move cap for the capability tiers (full BMR rounds at 100k versions
@@ -199,7 +205,7 @@ def sweep_panel(cg, start_edges) -> dict:
 
 
 def capability_panel(cg) -> dict:
-    """Capped BMR run for tiers too large for the Edmonds start."""
+    """Capped BMR run for tiers above the solve panel's size."""
     tree = _materialized_array_tree(cg)
     retrieval_budget = float(cg.edge_retrieval.max()) * 2.0
     rounds = min(CAPABILITY_ROUNDS, _bmr_default_rounds(cg))
@@ -244,30 +250,7 @@ def ingest_panel(graph, appends: int) -> dict:
     }
 
 
-def _start_with_cache(cg, cache_dir: str | None, nodes: int):
-    """Edmonds start edges, memoized on disk (it is minutes at 20k).
-
-    The min-storage arborescence is deterministic for a preset + size,
-    so regeneration workflows (budget probing, re-runs after a kernel
-    change) can reuse one computed start; ``edmonds_seconds`` records
-    the original solve time either way.
-    """
-    if cache_dir:
-        path = Path(cache_dir) / f"edmonds_{PRESET.replace('.', '_')}_{nodes}.npz"
-        if path.exists():
-            blob = np.load(path)
-            edges = [(int(v), int(e)) for v, e in blob["edges"]]
-            return float(blob["seconds"]), edges
-    ed_s, start_edges = _time(min_storage_parent_edges, cg)
-    if cache_dir:
-        Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        np.savez(
-            path, edges=np.asarray(start_edges, dtype=np.int64), seconds=ed_s
-        )
-    return ed_s, start_edges
-
-
-def bench_tier(nodes: int, *, start_cache: str | None = None) -> dict:
+def bench_tier(nodes: int) -> dict:
     g = _build(nodes)
     cg = g.compile()
     print(f"{PRESET} n={cg.n} m={cg.num_edges} (index {cg.index_dtype})", flush=True)
@@ -276,13 +259,19 @@ def bench_tier(nodes: int, *, start_cache: str | None = None) -> dict:
         "edges": cg.num_edges,
         "index_dtype": str(np.dtype(cg.index_dtype)),
     }
-    if nodes <= EDMONDS_CAP:
-        ed_s, start_edges = _start_with_cache(cg, start_cache, nodes)
-        print(f"  edmonds start in {ed_s:8.2f}s", flush=True)
-        tier["edmonds_seconds"] = ed_s
-        tier["solve"] = solve_panel(
-            g, cg, start_edges, oracle=nodes <= ORACLE_MAX_NODES
-        )
+    ed_s, start_edges = _time(min_storage_parent_edges, cg)
+    print(f"  edmonds start in {ed_s:8.2f}s", flush=True)
+    tier["edmonds_seconds"] = ed_s
+    oracle = nodes <= ORACLE_MAX_NODES
+    if oracle:
+        ref_s, ref = _time(min_storage_arborescence, cg.graph)
+        tier["start_identical"] = ref == {
+            cg.nodes[v]: cg.node_of(int(cg.edge_src[e])) for v, e in start_edges
+        }
+        same = "= dict" if tier["start_identical"] else "START MISMATCH"
+        print(f"  edmonds dict reference in {ref_s:8.2f}s [{same}]", flush=True)
+    if nodes <= SOLVE_CAP:
+        tier["solve"] = solve_panel(g, cg, start_edges, oracle=oracle)
         tier["sweep"] = sweep_panel(cg, start_edges)
     else:
         tier["capability"] = capability_panel(cg)
@@ -306,13 +295,6 @@ def main(argv: list[str] | None = None) -> int:
         help="explicit tier sizes (overrides --smoke)",
     )
     parser.add_argument("--out", default=None, help="JSON output path")
-    parser.add_argument(
-        "--start-cache",
-        default=None,
-        help="directory memoizing the Edmonds start per tier (.npz); the "
-        "arborescence is quadratic on these bidirectional graphs, so "
-        "reruns should not pay it twice",
-    )
     args = parser.parse_args(argv)
 
     sizes = args.sizes or (SMOKE_SIZES if args.smoke else FULL_SIZES)
@@ -320,12 +302,15 @@ def main(argv: list[str] | None = None) -> int:
         REPO_ROOT / ("BENCH_xl_smoke.json" if args.smoke else "BENCH_xl.json")
     )
 
-    tiers = [bench_tier(n, start_cache=args.start_cache) for n in sizes]
+    tiers = [bench_tier(n) for n in sizes]
 
     # gate flags cover every solve row: feasibility and invariants on
     # every tier, plan identity on the tiers that ran the dict oracle
     rows = [r for t in tiers for r in t.get("solve", [])]
     payload: dict = {"preset": PRESET, "sizes": list(sizes), "tiers": tiers}
+    starts = [t["start_identical"] for t in tiers if "start_identical" in t]
+    if starts:
+        payload["start_identical"] = all(starts)
     if rows:
         payload["gate_nodes"] = max(t["nodes"] for t in tiers if "solve" in t)
         payload["all_plans_feasible"] = all(
@@ -336,6 +321,9 @@ def main(argv: list[str] | None = None) -> int:
             payload["all_plans_identical"] = all(checked)
     Path(out).write_text(json.dumps(payload, indent=1))
     print(f"wrote {out}")
+    if not payload.get("start_identical", True):
+        print("FAIL: start tree differs from the dict arborescence", file=sys.stderr)
+        return 1
     if not payload.get("all_plans_feasible", True):
         print("FAIL: infeasible plan or broken tree invariants", file=sys.stderr)
         return 1

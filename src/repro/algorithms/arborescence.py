@@ -21,9 +21,10 @@ The contraction loop is iterative (bidirectional graphs contract one
 formulation overflows the interpreter stack around 1k versions), and
 cycle discovery scans nodes in deterministic first-seen edge order so
 the same graph yields the same arborescence in every process regardless
-of hash randomization.  O(V·E); fine for every graph in the benchmark
-suite, and :mod:`repro.fastgraph` carries a vectorized equivalent for
-the solver hot paths.  Tests cross-check against
+of hash randomization.  O(V·E): this is the reference oracle, and
+:mod:`repro.fastgraph.arborescence` returns the same parent map from a
+single walk-driven contraction pass (every cycle contracted once, O(E)
+memory) for the solver hot paths.  Tests cross-check against
 ``networkx.minimum_spanning_arborescence``.
 """
 

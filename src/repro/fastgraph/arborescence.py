@@ -1,28 +1,39 @@
-"""Vectorized Chu-Liu/Edmonds over compiled graphs.
+"""Walk-driven Chu-Liu/Edmonds over compiled graphs.
 
 The dict reference (:mod:`repro.algorithms.arborescence`) contracts one
-cycle per level with O(E) Python work per level; bidirectional version
-graphs produce O(V) two-cycles, so the reference costs O(V·E)
-interpreter operations and dominates every greedy MSR solve.  This
-module runs the identical algorithm on flat int/float arrays:
+cycle per level and re-scans every edge per level; bidirectional version
+graphs contract O(V) cycles, so it costs O(V·E).  This module computes
+the same arborescence with one contraction pass (Tarjan 1977):
 
-* cheapest-incoming selection is two ``np.minimum.at`` scatters
-  (min weight, then first edge index among the minima — the reference's
-  "ties keep the earliest edge" rule);
-* "which cycle does the reference contract first?" is answered without
-  the per-level O(V) path walk: a node's best-incoming walk either ends
-  at the root or on a cycle, so pointer-doubling the best-parent map
-  (``log V`` gathers) classifies all nodes at once and the first
-  first-seen destination not reaching the root is exactly the start the
-  reference's scan would find a cycle from;
-* contraction and unrolling are masked array passes in edge order,
-  preserving the reference's tie-breaking (first minimal relabeled edge
-  per contracted choice).
+* **Containers.**  A container is a version or a contracted cycle.  It
+  holds its live in-edges as two arrays, reduced weight and edge id.
+  Its *choice* is the minimum reduced weight, the smallest edge id
+  winning a tie: the reference's "ties keep the earliest edge" rule.
+* **Walk.**  From every version, follow choices to the next container
+  (``cont`` maps each version to its outermost container).  A walk that
+  reaches the root, a finished container or a container with no
+  in-edges marks its path finished.  A walk that closes a cycle
+  contracts it: each member's entries are reduced by that member's own
+  choice weight (one float subtraction per nesting level, exactly the
+  reference's ``(w - a) - b``), entries from inside the cycle are
+  dropped, and the new container picks its choice and continues the
+  walk.
+* **Expand.**  A forest root is entered by its choice.  Every container
+  on the path from that edge's head up to the root is entered by the
+  same edge; each sibling met on the way becomes a forest root entered
+  by its own choice.  This is O(containers) work.
+
+Why the contraction order does not matter: a container's choice depends
+only on its own in-edges, and contracting a cycle changes neither the
+in-edges nor the reduced weights of any container outside it.  So every
+cycle among the choices stays a cycle until it is contracted, whatever
+is contracted first, and the family of contracted sets — with every
+member's reduced weights — is the one the reference's first-cycle scan
+builds.  Memory stays O(E): a container's arrays are released once it
+is contracted.
 
 Output is the **same arborescence** the dict implementation returns —
-same parent per node, verified by the fastgraph equivalence suite — in
-O(levels · (E + V log V)) vectorized work instead of O(levels · E)
-interpreted work.
+same parent per version, pinned by the fastgraph equivalence suites.
 """
 
 from __future__ import annotations
@@ -42,183 +53,106 @@ def min_storage_parent_edges(cg: CompiledGraph) -> list[tuple[int, int]]:
     Plan-identical to ``min_storage_arborescence`` on ``cg.graph``.
     Raises :class:`GraphError` when some version is unreachable.
     """
-    root = cg.aux
-    keep = cg.edge_dst != root  # edges into the root are never useful
-    u0 = cg.edge_src[keep]
-    v0 = cg.edge_dst[keep]
-    w0 = cg.edge_storage[keep]
-    eid0 = np.nonzero(keep)[0].astype(np.int64)
-
-    parent_eid = _edmonds_array(cg.n + 1, root, u0, v0, w0, eid0)
-    missing = [cg.nodes[v] for v in range(cg.n) if parent_eid[v] < 0]
+    n, root = cg.n, cg.aux
+    src = cg.edge_src.astype(np.int64)
+    eids = np.nonzero(cg.edge_dst != root)[0]  # edges into the root never help
+    dst = cg.edge_dst[eids].astype(np.int64)
+    order = np.argsort(dst, kind="stable")  # per head, in edge-id order
+    in_e = eids[order]
+    in_w = cg.edge_storage[in_e]
+    ptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n + 1), out=ptr[1:])
+    # a version with no in-edge is the only way to end without a parent:
+    # a cycle the root cannot enter still keeps its members' choices
+    missing = [cg.nodes[v] for v in np.nonzero(ptr[1 : n + 1] == ptr[:n])[0]]
     if missing:
         raise GraphError(f"nodes unreachable from root: {missing[:5]!r}")
-    return [(v, int(parent_eid[v])) for v in range(cg.n)]
 
+    # per-container state; ids 0..n are the versions (n = root), then
+    # cycles.  A version's entries are its slice of the in-edge CSR.
+    entries: list = [None] * (n + 1)  # cycle -> (reduced weights, edge ids)
+    versions: list = [None] * (n + 1)  # cycle -> the versions inside it
+    members: list = [None] * (n + 1)  # cycle -> its member containers
+    up = [-1] * (n + 1)  # enclosing container
+    choice_w = [0.0] * (n + 1)
+    choice_e = [-1] * (n + 1)
+    for v in range(n):
+        w = in_w[ptr[v] : ptr[v + 1]]
+        k = int(np.argmin(w))  # first minimum = earliest edge id
+        choice_w[v], choice_e[v] = w[k], int(in_e[ptr[v] + k])
+    cont = np.arange(n + 1, dtype=np.int64)
+    state = [0] * (n + 1)  # 0 unvisited, 1 on the walk, 2 finished
+    state[root] = 2
+    at = [0] * (n + 1)  # position on the current walk
 
-def _best_incoming(
-    num_ids: int,
-    u: np.ndarray,
-    v: np.ndarray,
-    w: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-destination cheapest incoming edge, earliest edge on ties.
+    def contract(cycle: list[int]) -> int:
+        c = len(up)
+        ws, es, vs = [], [], []
+        for m in cycle:
+            if m < n:
+                w, e, v = in_w[ptr[m] : ptr[m + 1]], in_e[ptr[m] : ptr[m + 1]], [m]
+            else:
+                (w, e), v = entries[m], versions[m]
+                entries[m] = versions[m] = None  # released: O(E) memory
+            ws.append(w - choice_w[m])  # one rounding step per nesting level
+            es.append(e)
+            vs.append(v)
+            up[m] = c
+        nodes = np.concatenate(vs)
+        cont[nodes] = c
+        w, e = np.concatenate(ws), np.concatenate(es)
+        live = cont[src[e]] != c  # drop the edges from inside the cycle
+        w, e = w[live], e[live]
+        entries.append((w, e))
+        members.append(cycle)
+        versions.append(nodes)
+        up.append(-1)
+        state.append(1)
+        at.append(0)
+        if len(w):
+            best = w.min()
+            choice_w.append(best)
+            choice_e.append(int(e[w == best].min()))
+        else:  # a cycle the root cannot enter keeps every member's choice
+            choice_w.append(0.0)
+            choice_e.append(-1)
+        return c
 
-    Returns ``(best_w, best_pos)`` arrays over node ids; ``best_pos`` is
-    the position in the current edge arrays (sentinel ``len(u)`` when a
-    node has no incoming edge).
-    """
-    m = len(u)
-    best_w = np.full(num_ids, np.inf)
-    np.minimum.at(best_w, v, w)
-    best_pos = np.full(num_ids, m, dtype=np.int64)
-    at_min = w == best_w[v]
-    np.minimum.at(best_pos, v[at_min], np.nonzero(at_min)[0].astype(np.int64))
-    return best_w, best_pos
+    for s in range(n):
+        x = int(cont[s])
+        if state[x]:
+            continue
+        path: list[int] = []
+        while True:
+            state[x] = 1
+            at[x] = len(path)
+            path.append(x)
+            if choice_e[x] < 0:
+                break
+            y = int(cont[src[choice_e[x]]])
+            if state[y] == 0:
+                x = y
+            elif state[y] == 2:
+                break
+            else:
+                k = at[y]
+                x = contract(path[k:])
+                del path[k:]
+        for x in path:
+            state[x] = 2
 
-
-def _first_cycle(
-    num_ids: int,
-    root: int,
-    u: np.ndarray,
-    v: np.ndarray,
-    best_pos: np.ndarray,
-) -> np.ndarray | None:
-    """The cycle the reference scan contracts at this level, or None.
-
-    The reference walks starts in first-seen destination order and
-    contracts the first cycle a walk closes on.  Every walk ends at the
-    root or on a cycle, and earlier starts cannot silently consume a
-    cycle (they would have contracted it), so the contracted cycle is
-    the one reachable from the first start that does not reach the root.
-    """
-    m = len(u)
-    # best-parent functional map; root (and incoming-free nodes) absorb
-    f = np.full(num_ids, root, dtype=np.int64)
-    has_in = best_pos < m
-    ids = np.nonzero(has_in)[0]
-    f[ids] = u[best_pos[ids]]
-    # pointer doubling until every walk of length >= num_ids is resolved
-    g = f
-    steps = 1
-    while steps < num_ids:
-        g = g[g]
-        steps *= 2
-    cyclic = g[v] != root  # per edge: does its destination reach a cycle?
-    if not cyclic.any():
-        return None
-    # first qualifying destination in edge order == first qualifying
-    # start in the reference's first-seen-destination scan order
-    rep = int(g[v[int(np.argmax(cyclic))]])
-    cycle = [rep]
-    x = int(f[rep])
-    while x != rep:
-        cycle.append(x)
-        x = int(f[x])
-    return np.array(cycle, dtype=np.int64)
-
-
-def _edmonds_array(
-    num_base_ids: int,
-    root: int,
-    u: np.ndarray,
-    v: np.ndarray,
-    w: np.ndarray,
-    eid: np.ndarray,
-) -> np.ndarray:
-    """Iterative contraction/unroll; returns parent edge id per base id.
-
-    Mirrors ``repro.algorithms.arborescence._edmonds`` level by level;
-    ``eid`` threads the original compiled-graph edge id of every
-    relabeled edge so the final answer is expressed directly in parent
-    *edge* ids (-1 = no parent found / unreachable).
-    """
-    # each contraction removes a >=2-cycle and adds one super node, so
-    # the id space is bounded by twice the base ids
-    levels: list[tuple] = []
-    next_id = num_base_ids
-
-    while True:
-        num_ids = next_id
-        best_w, best_pos = _best_incoming(num_ids, u, v, w)
-        cycle = _first_cycle(num_ids, root, u, v, best_pos)
-        if cycle is None:
-            break
-        super_node = next_id
-        next_id += 1
-        in_cyc = np.zeros(num_ids + 1, dtype=bool)
-        in_cyc[cycle] = True
-        cu, cv = in_cyc[u], in_cyc[v]
-        keep = ~(cu & cv)
-        # displaced cycle edge weight is best_w[v] for edges into the cycle
-        w_new = np.where(cv, w - best_w[v], w)[keep]
-        u_cur, v_cur, eid_cur = u[keep], v[keep], eid[keep]
-        u_new = np.where(cu[keep], super_node, u_cur)
-        v_new = np.where(cv[keep], super_node, v_cur)
-        levels.append(
-            (
-                num_ids,
-                u,  # pre-contraction sources (for cycle-edge completion)
-                eid,  # pre-contraction edge ids
-                best_pos,
-                cycle,
-                super_node,
-                u_cur,
-                v_cur,
-                eid_cur,
-                u_new,
-                v_new,
-                w_new,
-            )
-        )
-        u, v, w, eid = u_new, v_new, w_new, eid_cur
-
-    # base answer over the innermost id space
-    parent = np.full(next_id, -1, dtype=np.int64)
-    parent_eid = np.full(next_id, -1, dtype=np.int64)
-    ids = np.nonzero(best_pos < len(u))[0]
-    parent[ids] = u[best_pos[ids]]
-    parent_eid[ids] = eid[best_pos[ids]]
-
-    for (
-        num_ids,
-        u_lvl,
-        eid_lvl,
-        best_pos,
-        cycle,
-        super_node,
-        u_cur,
-        v_cur,
-        eid_cur,
-        u_new,
-        v_new,
-        w_new,
-    ) in reversed(levels):
-        sub_parent = parent
-        # choose, per contracted (parent, child) pair, the first minimal
-        # relabeled edge — the edge the contracted level effectively used
-        sel = np.nonzero(sub_parent[v_new] == u_new)[0]
-        grp = v_new[sel]
-        choice_w = np.full(num_ids + 1, np.inf)
-        np.minimum.at(choice_w, grp, w_new[sel])
-        at_min = sel[w_new[sel] == choice_w[grp]]
-        choice_pos = np.full(num_ids + 1, len(u_new), dtype=np.int64)
-        np.minimum.at(choice_pos, v_new[at_min], at_min)
-
-        # translate the chosen edges back to this level's endpoints
-        # (includes the edge entering the contracted cycle)
-        parent = np.full(num_ids, -1, dtype=np.int64)
-        parent_eid = np.full(num_ids, -1, dtype=np.int64)
-        chosen = choice_pos[choice_pos < len(u_new)]
-        parent[v_cur[chosen]] = u_cur[chosen]
-        parent_eid[v_cur[chosen]] = eid_cur[chosen]
-        entered_at = -1
-        if choice_pos[super_node] < len(u_new):
-            entered_at = int(v_cur[choice_pos[super_node]])
-        # cycle edges: keep all but the one displaced by the entering edge
-        for x in cycle:
-            if x != entered_at:
-                pos = best_pos[x]
-                parent[x] = u_lvl[pos]
-                parent_eid[x] = eid_lvl[pos]
-    return parent_eid[:num_base_ids]
+    parent = np.full(n, -1, dtype=np.int64)
+    stack = [c for c in range(len(up)) if up[c] < 0 and c != root]
+    while stack:
+        r = stack.pop()
+        e = choice_e[r]
+        if e < 0:
+            stack.extend(members[r])
+            continue
+        x = int(cg.edge_dst[e])
+        parent[x] = e
+        while x != r:
+            c = up[x]
+            stack.extend(m for m in members[c] if m != x)
+            x = c
+    return [(v, int(parent[v])) for v in range(n)]

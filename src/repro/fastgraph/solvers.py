@@ -75,8 +75,9 @@ def _compiled(graph: VersionGraph | CompiledGraph) -> CompiledGraph:
 def _min_storage_array_tree(cg: CompiledGraph) -> ArrayPlanTree:
     """Minimum-storage starting configuration as an :class:`ArrayPlanTree`.
 
-    Uses the vectorized Chu-Liu/Edmonds, which returns the identical
-    arborescence to the dict solvers' ``min_storage_plan_tree`` start.
+    Uses the walk-driven Chu-Liu/Edmonds contraction, which returns the
+    identical arborescence to the dict solvers' ``min_storage_plan_tree``
+    start.
     """
     from .arborescence import min_storage_parent_edges
 

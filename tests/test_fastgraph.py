@@ -11,6 +11,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.graph import AUX, GraphError, VersionGraph
 from repro.core.solution import PlanTree
@@ -203,6 +205,11 @@ class TestArrayPlanTree:
         assert back.parent == ref.parent
 
 
+# weights whose reduced differences round: 0.1 + 0.2 != 0.3, and
+# (w - a) - b can tie where the exact arithmetic would not
+TIE_PRONE = (0.1, 0.2, 0.3, 0.1 + 0.2, 1 / 3, 10.0)
+
+
 class TestArrayArborescence:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_dict_edmonds_random(self, seed):
@@ -228,6 +235,65 @@ class TestArrayArborescence:
         g.add_delta("a", "b", 1, 1)
         cg = g.compile()  # extends internally: reachable via AUX
         assert len(min_storage_parent_edges(cg)) == 2
+
+    @staticmethod
+    def _assert_matches_dict(g):
+        cg = g.compile()
+        pairs = min_storage_parent_edges(cg)
+        arr = {cg.nodes[v]: cg.node_of(int(cg.edge_src[e])) for v, e in pairs}
+        assert arr == min_storage_arborescence(cg.graph)
+
+    @given(
+        st.integers(2, 8).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.sampled_from(TIE_PRONE), min_size=n, max_size=n),
+                st.lists(
+                    st.tuples(
+                        st.integers(0, n - 1),
+                        st.integers(0, n - 1),
+                        st.sampled_from(TIE_PRONE),
+                    ),
+                    max_size=4 * n,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_dict_edmonds_tie_prone_floats(self, case):
+        storages, deltas = case
+        g = VersionGraph()
+        for i, s in enumerate(storages):
+            g.add_version(i, s)
+        for u, v, w in deltas:
+            if u != v and not g.has_delta(u, v):
+                g.add_delta(u, v, w, 1.0)
+        self._assert_matches_dict(g)
+
+    def test_matches_dict_edmonds_deep_nesting(self):
+        # a bidirectional path with equal deltas: every level contracts
+        # the previous super-node with the next version
+        g = VersionGraph()
+        for i in range(120):
+            g.add_version(i, 100.0)
+        for i in range(119):
+            g.add_bidirectional_delta(i, i + 1, 1.0, 1.0)
+        self._assert_matches_dict(g)
+
+    def test_matches_dict_edmonds_preset(self):
+        preset = PRESETS["996.ICU"]
+        self._assert_matches_dict(preset.build(scale=300 / preset.n_commits))
+
+    def test_unreachable_version_raises(self):
+        g = VersionGraph()
+        for v in "abc":
+            g.add_version(v, 5)
+        g.add_delta("a", "c", 1, 1)
+        cg = g.compile()
+        # point b's materialization edge into the root: nothing enters b
+        cg.edge_dst = cg.edge_dst.copy()
+        cg.edge_dst[cg.aux_edge[cg.index["b"]]] = cg.aux
+        with pytest.raises(GraphError, match=r"^nodes unreachable from root: \['b'\]$"):
+            min_storage_parent_edges(cg)
 
 
 class TestKernelEquivalence:
