@@ -51,7 +51,7 @@ from repro.algorithms.lmg_all import lmg_all
 from repro.core.graph import GraphError
 from repro.core.problems import evaluate_plan
 from repro.core.tolerance import within_budget_recomputed
-from repro.fastgraph import sweep_greedy_msr
+from repro.fastgraph import sweep_greedy
 from repro.fastgraph.arborescence import min_storage_parent_edges
 from repro.fastgraph.plantree import ArrayPlanTree
 from repro.fastgraph.solvers import (
@@ -184,12 +184,13 @@ def solve_panel(graph, cg, start_edges, *, oracle: bool) -> list[dict]:
 
 
 def sweep_panel(cg, start_edges) -> dict:
-    """Budget-grid LMG sweep through trajectory replay."""
+    """Budget-grid LMG sweep through trajectory replay.
+
+    The timed sweep builds its own start tree, as every caller's does.
+    """
     base = ArrayPlanTree(cg, start_edges).total_storage
     budgets = [base * f for f in (1.05, 1.2, 1.4, 1.7, 2.0, 2.5, 3.0, 4.0)]
-    secs, entries = _time(
-        sweep_greedy_msr, cg, "lmg", budgets, start_edges=start_edges
-    )
+    secs, entries = _time(sweep_greedy, cg, "msr", "lmg", budgets)
     print(f"  sweep   lmg x{len(budgets)} budgets in {secs:8.2f}s", flush=True)
     return {
         "solver": "lmg",

@@ -35,7 +35,7 @@ from pathlib import Path
 
 from repro.bench.harness import msr_budget_grid
 from repro.core.problems import evaluate_plan
-from repro.fastgraph import lmg_all_array, lmg_array, sweep_greedy_msr
+from repro.fastgraph import lmg_all_array, lmg_array, sweep_greedy
 from repro.fastgraph import solvers as _solvers
 from repro.gen.presets import PRESETS
 
@@ -98,7 +98,7 @@ def bench_dense_sharing(g, points: int) -> dict:
     _traj.TRAJECTORY_SOLVERS[("msr", "lmg-all")] = patched
     try:
         t0 = time.perf_counter()
-        entries = sweep_greedy_msr(g, "lmg-all", grid)
+        entries = sweep_greedy(g, "msr", "lmg-all", grid)
         sweep_s = time.perf_counter() - t0
     finally:
         _traj.TRAJECTORY_SOLVERS[("msr", "lmg-all")] = original
@@ -143,7 +143,7 @@ def bench_sweep(g, points: int) -> list[dict]:
     rows = []
     for name, solve in SOLVERS.items():
         t0 = time.perf_counter()
-        entries = sweep_greedy_msr(g, name, grid)
+        entries = sweep_greedy(g, "msr", name, grid)
         sweep_s = time.perf_counter() - t0
 
         # independent path does the same work the pre-sweep harness did

@@ -160,7 +160,10 @@ class DPMSRSolver:
 
         Requires ``keep_tables=True``.  The reconstruction re-runs each
         node's fold sequence and splits the chosen point back into child
-        contributions by exact-sum matching.
+        contributions by exact-sum matching.  Raises a plain
+        ``ValueError`` when ``storage_budget`` is below the minimum
+        achievable storage, and :class:`GraphError` for internal or
+        structural failures.
         """
         if not self.keep_tables:
             raise GraphError("plan reconstruction requires keep_tables=True")
@@ -173,7 +176,9 @@ class DPMSRSolver:
             if p is not None and (best is None or p[1] < best[1]):
                 best = (p[0], p[1], u)
         if best is None:
-            raise GraphError(
+            # plain ValueError (not GraphError): this is budget
+            # infeasibility, not a structural problem with the input
+            raise ValueError(
                 f"storage budget {storage_budget} below the minimum achievable "
                 f"storage on the extracted tree"
             )

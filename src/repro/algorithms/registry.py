@@ -9,10 +9,11 @@ with ``problem in repro.core.problemspec.SPECS``:
 * :data:`SOLVERS` — plan-level solvers
   ``f(graph, budget) -> StoragePlan | None`` (None = the budget is
   infeasible for the family: below the minimum achievable storage for
-  MSR, negative retrieval for BMR);
+  MSR, negative retrieval for BMR; a :class:`GraphError` is a
+  structural input problem and propagates);
 * :data:`SWEEPS` — whole-grid trajectory-replay sweeps
-  ``f(graph, budgets, *, start_edges=None) -> list[SweepEntry]`` (one
-  solver run for the entire budget grid; only greedy solvers with
+  ``f(graph, budgets) -> list[SweepEntry]`` (one solver run, from its
+  own start tree, for the entire budget grid; only greedy solvers with
   budget-monotone trajectories qualify);
 * :data:`ENGINE_KERNELS` — tree-level kernels
   ``f(compiled_graph, budget) -> ArrayPlanTree`` for the online ingest
@@ -21,6 +22,14 @@ with ``problem in repro.core.problemspec.SPECS``:
   no array-tree form and are deliberately absent);
 * :data:`BACKENDS` — explicit backend requests for the greedy family
   (``"array"`` kernels and the ``"dict"`` reference implementations).
+
+Each implementation is declared once.  A greedy solver is one
+:data:`ENGINE_KERNELS` row (its array kernel) plus one
+:data:`REFERENCE_KERNELS` row (its dict oracle); :data:`BACKENDS` and
+the greedy rows of :data:`SOLVERS` are derived from them through one
+tree-to-plan adapter.  A sweep is one
+:data:`repro.fastgraph.TRAJECTORY_SOLVERS` row; :data:`SWEEPS` is
+derived from that table.
 
 Resolution goes through :func:`get_solver`, :func:`get_sweep` and
 :func:`get_engine_solver`, all taking the problem name first.  Plain
@@ -42,10 +51,13 @@ reuse the compiled graph cached on the :class:`VersionGraph` itself
 
 from __future__ import annotations
 
+import functools
+
 from ..core.graph import GraphError, VersionGraph
 from ..core.problemspec import SPECS, get_spec
 from ..core.solution import StoragePlan
 from ..fastgraph import (
+    TRAJECTORY_SOLVERS,
     bmr_lmg_array,
     lmg_all_array,
     lmg_array,
@@ -66,156 +78,63 @@ __all__ = [
     "SWEEPS",
     "ENGINE_KERNELS",
     "BACKENDS",
+    "REFERENCE_KERNELS",
     "get_solver",
     "get_sweep",
     "get_engine_solver",
-    "sweep_start_edges",
 ]
 
 
-def _lmg_dict(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return lmg(graph, budget).to_plan()
-    except ValueError:
-        return None
+def _none_if_infeasible(solve):
+    """Plan-level solver from ``solve(graph, budget) -> StoragePlan``.
+
+    A plain ``ValueError`` means the budget is infeasible for the family
+    and becomes ``None``; a :class:`GraphError` is a structural problem
+    with the input, not a budget outcome, and propagates.
+    """
+
+    @functools.wraps(solve)
+    def solver(graph: VersionGraph, budget: float) -> StoragePlan | None:
+        try:
+            return solve(graph, budget)
+        except GraphError:
+            raise
+        except ValueError:
+            return None
+
+    return solver
 
 
-def _lmg_array(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return lmg_array(graph, budget).to_plan()
-    except ValueError:
-        return None
+def _tree_solver(kernel):
+    """Plan-level solver from a tree kernel ``f(graph, budget) -> tree``."""
+    return _none_if_infeasible(lambda graph, budget: kernel(graph, budget).to_plan())
 
 
-def _lmg_all_dict(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return lmg_all(graph, budget).to_plan()
-    except ValueError:
-        return None
+@_none_if_infeasible
+def _dp_msr(graph: VersionGraph, budget: float) -> StoragePlan:
+    return dp_msr(graph, budget).plan
 
 
-def _lmg_all_array(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return lmg_all_array(graph, budget).to_plan()
-    except ValueError:
-        return None
-
-
-def _dp_msr(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return dp_msr(graph, budget).plan
-    except GraphError:
-        return None
+@_none_if_infeasible
+def _dp_bmr(graph: VersionGraph, budget: float) -> StoragePlan | None:
+    return dp_bmr_heuristic(graph, budget).plan
 
 
 def _msr_ilp(graph: VersionGraph, budget: float) -> StoragePlan | None:
     return msr_ilp(graph, budget).plan
 
 
-def _mp_dict(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return mp(graph, budget).to_plan()
-    except ValueError:
-        return None
-
-
-def _mp_array(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return mp_array(graph, budget).to_plan()
-    except ValueError:
-        return None
-
-
-def _dp_bmr(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return dp_bmr_heuristic(graph, budget).plan
-    except GraphError:
-        raise  # structural input problem, not a budget outcome
-    except ValueError:
-        return None
-
-
 def _bmr_ilp(graph: VersionGraph, budget: float) -> StoragePlan | None:
     return bmr_ilp(graph, budget).plan
 
 
-def _bmr_lmg_dict(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return bmr_lmg(graph, budget).to_plan()
-    except ValueError:
-        return None
-
-
-def _bmr_lmg_array(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return bmr_lmg_array(graph, budget).to_plan()
-    except ValueError:
-        return None
-
-
-def _mp_local_dict(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return mp_local(graph, budget).to_plan()
-    except ValueError:
-        return None
-
-
-def _mp_local_array(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return mp_local_array(graph, budget).to_plan()
-    except ValueError:
-        return None
-
-
-#: ``(problem, name)`` -> plan-level solver; greedy names resolve to
-#: the array kernels.
-SOLVERS = {
-    ("msr", "lmg"): _lmg_array,
-    ("msr", "lmg-all"): _lmg_all_array,
-    ("msr", "dp-msr"): _dp_msr,
-    ("msr", "ilp"): _msr_ilp,
-    ("bmr", "mp"): _mp_array,
-    ("bmr", "mp-local"): _mp_local_array,
-    ("bmr", "bmr-lmg"): _bmr_lmg_array,
-    ("bmr", "dp-bmr"): _dp_bmr,
-    ("bmr", "ilp"): _bmr_ilp,
-}
-
-
-def _sweep_lmg(graph, budgets, *, start_edges=None):
-    return sweep_greedy(graph, "msr", "lmg", budgets, start_edges=start_edges)
-
-
-def _sweep_lmg_all(graph, budgets, *, start_edges=None):
-    return sweep_greedy(graph, "msr", "lmg-all", budgets, start_edges=start_edges)
-
-
-def _sweep_bmr_lmg(graph, budgets, *, start_edges=None):
-    return sweep_greedy(graph, "bmr", "bmr-lmg", budgets, start_edges=start_edges)
-
-
-#: ``(problem, name)`` -> whole-grid trajectory-replay sweep
-#: ``f(graph, budgets, *, start_edges=None) -> list[SweepEntry]``.
-#: Only greedy solvers with budget-monotone trajectories qualify (the
-#: LMG family and ``bmr-lmg``).  The MP family is absent by design:
-#: MP's Prim growth depends on the retrieval budget at every
-#: relaxation, so runs at different budgets share no prefix (see
-#: :mod:`repro.fastgraph.trajectory`).  ``start_edges`` ships a shared
-#: Edmonds arborescence to MSR sweeps; families whose start tree is
-#: budget-independent of it (BMR's all-materialized start) ignore it.
-SWEEPS = {
-    ("msr", "lmg"): _sweep_lmg,
-    ("msr", "lmg-all"): _sweep_lmg_all,
-    ("bmr", "bmr-lmg"): _sweep_bmr_lmg,
-}
-
-
-#: ``(problem, name)`` -> tree-level engine kernel
-#: ``f(compiled_graph, budget) -> ArrayPlanTree``.  The ingest engine
-#: (:mod:`repro.engine`) needs the *tree*, not the exported
-#: :class:`StoragePlan`: between full re-solves it keeps attaching
-#: arriving versions onto the live ``ArrayPlanTree``, and the
-#: incremental attach / staleness bookkeeping work on the flat arrays.
+#: ``(problem, name)`` -> tree-level array kernel
+#: ``f(graph | compiled_graph, budget) -> ArrayPlanTree``, one row per
+#: greedy solver.  The ingest engine (:mod:`repro.engine`) binds these
+#: directly: between full re-solves it keeps attaching arriving
+#: versions onto the live ``ArrayPlanTree``, and the incremental
+#: attach / staleness bookkeeping work on the flat arrays.  DP/ILP
+#: solvers have no array-tree form and are deliberately absent.
 ENGINE_KERNELS = {
     ("msr", "lmg"): lmg_array,
     ("msr", "lmg-all"): lmg_all_array,
@@ -224,17 +143,56 @@ ENGINE_KERNELS = {
     ("bmr", "bmr-lmg"): bmr_lmg_array,
 }
 
-
-#: ``(problem, name)`` -> backend -> callable, for explicit backend
-#: requests (greedy family only); solvers without an entry resolve to
-#: their single implementation.
-BACKENDS = {
-    ("msr", "lmg"): {"array": _lmg_array, "dict": _lmg_dict},
-    ("msr", "lmg-all"): {"array": _lmg_all_array, "dict": _lmg_all_dict},
-    ("bmr", "mp"): {"array": _mp_array, "dict": _mp_dict},
-    ("bmr", "mp-local"): {"array": _mp_local_array, "dict": _mp_local_dict},
-    ("bmr", "bmr-lmg"): {"array": _bmr_lmg_array, "dict": _bmr_lmg_dict},
+#: ``(problem, name)`` -> dict reference implementation (the oracle the
+#: array kernel is plan-identical to), one row per greedy solver.
+REFERENCE_KERNELS = {
+    ("msr", "lmg"): lmg,
+    ("msr", "lmg-all"): lmg_all,
+    ("bmr", "mp"): mp,
+    ("bmr", "mp-local"): mp_local,
+    ("bmr", "bmr-lmg"): bmr_lmg,
 }
+
+#: ``(problem, name)`` -> backend -> plan-level solver, for explicit
+#: backend requests (greedy family only); solvers without an entry
+#: resolve to their single implementation.
+BACKENDS = {
+    key: {
+        "array": _tree_solver(kernel),
+        "dict": _tree_solver(REFERENCE_KERNELS[key]),
+    }
+    for key, kernel in ENGINE_KERNELS.items()
+}
+
+#: ``(problem, name)`` -> plan-level solver; greedy names resolve to
+#: the array kernels.
+SOLVERS = {
+    **{key: backends["array"] for key, backends in BACKENDS.items()},
+    ("msr", "dp-msr"): _dp_msr,
+    ("msr", "ilp"): _msr_ilp,
+    ("bmr", "dp-bmr"): _dp_bmr,
+    ("bmr", "ilp"): _bmr_ilp,
+}
+
+
+def _grid_sweep(problem: str, name: str):
+    """Whole-grid sweep ``f(graph, budgets) -> list[SweepEntry]``."""
+
+    def grid_sweep(graph: VersionGraph, budgets: list[float]):
+        return sweep_greedy(graph, problem, name, budgets)
+
+    return grid_sweep
+
+
+#: ``(problem, name)`` -> whole-grid trajectory-replay sweep
+#: ``f(graph, budgets) -> list[SweepEntry]``, one per
+#: :data:`~repro.fastgraph.TRAJECTORY_SOLVERS` row.  Only greedy
+#: solvers with budget-monotone trajectories qualify (the LMG family
+#: and ``bmr-lmg``).  The MP family is absent by design: MP's Prim
+#: growth depends on the retrieval budget at every relaxation, so runs
+#: at different budgets share no prefix (see
+#: :mod:`repro.fastgraph.trajectory`).
+SWEEPS = {key: _grid_sweep(*key) for key in TRAJECTORY_SOLVERS}
 
 _BACKEND_NAMES = ("array", "dict")
 
@@ -300,23 +258,3 @@ def get_engine_solver(problem: str, name: str):
     except KeyError:
         raise _unknown_name(ENGINE_KERNELS, problem, name, "engine solver") from None
 
-
-def sweep_start_edges(
-    problem: str, graph: VersionGraph, solvers
-) -> list | None:
-    """The Edmonds start tree shared by a problem's trajectory sweeps.
-
-    Returns ``(version index, parent edge id)`` pairs when the family's
-    sweeps start from the minimum-storage arborescence and at least one
-    requested solver has a trajectory sweep; ``None`` otherwise
-    (per-budget solvers only, or families with budget-independent
-    starts like BMR's all-materialized tree).
-    """
-    spec = get_spec(problem)
-    if not spec.sweep_uses_start_tree:
-        return None
-    if not any(get_sweep(spec.name, s) is not None for s in solvers):
-        return None
-    from ..fastgraph.arborescence import min_storage_parent_edges
-
-    return min_storage_parent_edges(graph.compile())

@@ -21,7 +21,8 @@ both registered per ``(problem, name)``:
   :func:`repro.fastgraph.sweep_greedy` engine — valid because the
   greedy move sequence is budget-monotone, with band-shared live
   continuations on divergence, so each grid point's plan is identical
-  to an independent solve at that budget.  The MP family has no
+  to an independent solve at that budget.  Each sweep builds its own
+  start tree, so its one timed run includes it.  The MP family has no
   replayable trajectory (its Prim growth is budget-dependent at every
   relaxation) and keeps per-budget runs.
 
@@ -46,7 +47,7 @@ from ..core.tolerance import within_budget_recomputed
 from ..algorithms.dp_bmr import extract_index
 from ..algorithms.dp_msr import DPMSRSolver
 from ..algorithms.ilp import msr_ilp
-from ..algorithms.registry import get_solver, get_sweep, sweep_start_edges
+from ..algorithms.registry import get_solver, get_sweep
 from ..algorithms.arborescence import min_storage_plan_tree
 
 __all__ = [
@@ -270,12 +271,6 @@ def run_experiment(
     solvers = list(solvers) if solvers is not None else list(spec.default_panel_solvers)
     budgets = list(budgets) if budgets else budget_grid(graph, spec.name)
     result = ExperimentResult(name=name, dataset=graph.name, problem=spec.name)
-    t0 = time.perf_counter()
-    start_edges = sweep_start_edges(spec.name, graph, solvers)
-    # a shared sweep start state (MSR's Edmonds run) is part of
-    # producing every greedy series, so its cost folds into each sweep
-    # solver's flat runtime below
-    start_dt = time.perf_counter() - t0
     needs_index = (spec.name, "dp-bmr") in SINGLE_RUN_PANELS and "dp-bmr" in solvers
     ctx = {
         "spec": spec,
@@ -306,8 +301,8 @@ def run_experiment(
                 rt.add(b, dt)
         elif grid_sweep is not None:
             t0 = time.perf_counter()
-            entries = grid_sweep(graph, list(budgets), start_edges=start_edges)
-            dt = time.perf_counter() - t0 + start_dt
+            entries = grid_sweep(graph, list(budgets))
+            dt = time.perf_counter() - t0
             for e in entries:
                 y = math.inf if e.score is None else check_and_extract(e.score, e.budget)
                 obj.add(e.budget, y)

@@ -329,10 +329,6 @@ class ProblemSpec:
     #: trajectory replay mirrors the same early stop.
     replay_halts_on_budget: bool
 
-    #: True when trajectory sweeps start from the minimum-storage
-    #: arborescence and can reuse one shared Edmonds run across tasks.
-    sweep_uses_start_tree: bool
-
     def tree_objective(self, tree: Any) -> float:
         """The objective value of a plan tree (``ArrayPlanTree``-like)."""
         raise NotImplementedError
@@ -402,7 +398,6 @@ class _MSRSpec(ProblemSpec):
     default_panel_solvers = ("lmg", "lmg-all", "dp-msr")
     default_grid_span = 4.0
     replay_halts_on_budget = True
-    sweep_uses_start_tree = True
 
     def tree_objective(self, tree: Any) -> float:
         """Total retrieval of the plan tree."""
@@ -446,7 +441,6 @@ class _BMRSpec(ProblemSpec):
     default_panel_solvers = ("mp", "mp-local", "bmr-lmg", "dp-bmr")
     default_grid_span = 6.0
     replay_halts_on_budget = False
-    sweep_uses_start_tree = False
 
     def tree_objective(self, tree: Any) -> float:
         """Total storage of the plan tree."""

@@ -324,11 +324,11 @@ def lmg_array(
 ) -> ArrayPlanTree:
     """Array kernel for LMG (Algorithm 1); plan-identical to dict LMG.
 
-    Each greedy round evaluates every remaining candidate's
-    materialization move with four vectorized array expressions instead
-    of a Python loop, then applies the best move exactly as the
-    reference does.  Raises ``ValueError`` when ``storage_budget`` is
-    below the minimum storage configuration (MSR infeasible).
+    Each greedy round pops the best materialization move from a CELF
+    lazy heap and applies it over a static Euler snapshot of the tree
+    (see :func:`_lmg_run`), choosing exactly as the reference does.
+    Raises ``ValueError`` when ``storage_budget`` is below the minimum
+    storage configuration (MSR infeasible).
     """
     cg = _compiled(graph)
     tree = _min_storage_array_tree(cg)

@@ -7,8 +7,10 @@ module turns that ``O(B · solve)`` sweep into ``O(solve + B)`` for
 **both** problem families through one engine, :func:`sweep_greedy`,
 parameterized by a :class:`~repro.core.problemspec.ProblemSpec`:
 
-1. **Record** — run the solver once at the loosest grid budget,
-   logging every applied move as ``(edge id, feasibility value,
+1. **Record** — build the family's start tree once (the
+   minimum-storage arborescence for MSR, the all-materialized plan
+   for BMR), then run the solver once from it at the loosest grid
+   budget, logging every applied move as ``(edge id, feasibility value,
    objective value)``.  The feasibility value is exactly the quantity
    the live kernel checked against its budget — plan storage after the
    move for the MSR family, the moved subtree's post-move max
@@ -73,17 +75,10 @@ from .solvers import (
     _lmg_default_rounds,
     _lmg_run,
     _materialized_array_tree,
+    _min_storage_array_tree,
 )
 
-__all__ = [
-    "SweepEntry",
-    "sweep_greedy",
-    "sweep_greedy_msr",
-    "sweep_greedy_bmr",
-    "TRAJECTORY_SOLVERS",
-    "GREEDY_SWEEP_SOLVERS",
-    "BMR_GREEDY_SWEEP_SOLVERS",
-]
+__all__ = ["SweepEntry", "sweep_greedy", "TRAJECTORY_SOLVERS"]
 
 
 @dataclass(frozen=True)
@@ -111,33 +106,9 @@ class SweepEntry:
         return self.plan is not None
 
 
-def _start_msr(cg: CompiledGraph, start_edges) -> ArrayPlanTree:
-    """MSR start: the minimum-storage arborescence (Edmonds)."""
-    if start_edges is None:
-        from .arborescence import min_storage_parent_edges
-
-        start_edges = min_storage_parent_edges(cg)
-    return ArrayPlanTree(cg, start_edges)
-
-
-def _start_bmr(cg: CompiledGraph, start_edges) -> ArrayPlanTree:
-    """BMR start: the all-materialized plan (``start_edges`` unused)."""
-    return _materialized_array_tree(cg)
-
-
 def _run_lmg(cg, tree, budget, rounds, record) -> None:
     """Resumable LMG rounds (candidates derived from the tree state)."""
     _lmg_run(cg, tree, _lmg_candidates(cg, tree), budget, rounds, record)
-
-
-def _run_lmg_all(cg, tree, budget, rounds, record) -> None:
-    """Resumable LMG-All rounds."""
-    _lmg_all_run(cg, tree, budget, rounds, record)
-
-
-def _run_bmr(cg, tree, budget, rounds, record) -> None:
-    """Resumable BMR local-move rounds."""
-    _bmr_run(cg, tree, budget, rounds, record)
 
 
 @dataclass(frozen=True)
@@ -149,37 +120,27 @@ class _TrajectoryFamily:
     ``rounds`` caps the total greedy rounds exactly like a fresh run.
     """
 
-    start: object  # (cg, start_edges) -> ArrayPlanTree
+    start: object  # (cg) -> ArrayPlanTree
     run: object  # (cg, tree, budget, rounds, record) -> None
     rounds: object  # (cg) -> int
 
 
 #: ``(problem, solver)`` -> replay adapter, for every greedy solver
 #: whose trajectory is budget-monotone.  The MP family is absent by
-#: design (see the module docstring).
+#: design (see the module docstring).  MSR sweeps start from the
+#: minimum-storage arborescence (Edmonds), BMR sweeps from the
+#: all-materialized plan.
 TRAJECTORY_SOLVERS = {
-    ("msr", "lmg"): _TrajectoryFamily(_start_msr, _run_lmg, _lmg_default_rounds),
+    ("msr", "lmg"): _TrajectoryFamily(
+        _min_storage_array_tree, _run_lmg, _lmg_default_rounds
+    ),
     ("msr", "lmg-all"): _TrajectoryFamily(
-        _start_msr, _run_lmg_all, _lmg_all_default_rounds
+        _min_storage_array_tree, _lmg_all_run, _lmg_all_default_rounds
     ),
     ("bmr", "bmr-lmg"): _TrajectoryFamily(
-        _start_bmr, _run_bmr, _bmr_default_rounds
+        _materialized_array_tree, _bmr_run, _bmr_default_rounds
     ),
 }
-
-#: MSR solver names the trajectory sweep supports.
-GREEDY_SWEEP_SOLVERS = tuple(
-    # key filter over the (problem, name) table, not behavior dispatch
-    # lint-ignore: spec-routing
-    sorted(n for p, n in TRAJECTORY_SOLVERS if p == "msr")
-)
-
-#: BMR solver names the trajectory sweep supports.
-BMR_GREEDY_SWEEP_SOLVERS = tuple(
-    # key filter over the (problem, name) table, not behavior dispatch
-    # lint-ignore: spec-routing
-    sorted(n for p, n in TRAJECTORY_SOLVERS if p == "bmr")
-)
 
 
 def sweep_greedy(
@@ -187,8 +148,6 @@ def sweep_greedy(
     problem: str | ProblemSpec,
     solver: str,
     budgets: list[float],
-    *,
-    start_edges: list[tuple[int, int]] | None = None,
 ) -> list[SweepEntry]:
     """Evaluate ``solver`` at every budget of ``problem`` in one run.
 
@@ -206,11 +165,6 @@ def sweep_greedy(
     budgets:
         Budgets (storage for MSR, max retrieval for BMR), any order,
         duplicates allowed.  Results come back in the same order.
-    start_edges:
-        Optional pre-computed minimum-storage arborescence as
-        ``(version index, parent edge id)`` pairs — lets parallel MSR
-        workers reuse one Edmonds run.  Families whose start tree is
-        not the arborescence (BMR's all-materialized start) ignore it.
 
     Every entry's plan is identical (parent map, storage, retrieval) to
     an independent solver run at that budget; diverged grid points
@@ -229,7 +183,7 @@ def sweep_greedy(
     cg = _compiled(graph)
     score_graph = graph if isinstance(graph, VersionGraph) else cg.graph
 
-    base = family.start(cg, start_edges)
+    base = family.start(cg)
     floor = spec.sweep_floor(base)
     results: list[SweepEntry | None] = [None] * len(budgets)
     feasible_ix = []
@@ -366,22 +320,3 @@ def sweep_greedy(
         solve_points(*frame, enqueue=work.append)
     return [e for e in results if e is not None]
 
-
-def sweep_greedy_msr(
-    graph: VersionGraph | CompiledGraph,
-    solver: str,
-    budgets: list[float],
-    *,
-    start_edges: list[tuple[int, int]] | None = None,
-) -> list[SweepEntry]:
-    """Storage-budget sweep: :func:`sweep_greedy` with ``problem="msr"``."""
-    return sweep_greedy(graph, "msr", solver, budgets, start_edges=start_edges)
-
-
-def sweep_greedy_bmr(
-    graph: VersionGraph | CompiledGraph,
-    solver: str,
-    budgets: list[float],
-) -> list[SweepEntry]:
-    """Retrieval-budget sweep: :func:`sweep_greedy` with ``problem="bmr"``."""
-    return sweep_greedy(graph, "bmr", solver, budgets)

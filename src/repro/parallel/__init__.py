@@ -4,7 +4,7 @@ plus the single-slot background runner the ingest engine re-solves on."""
 from .background import BackgroundResolver
 from .dp_parallel import dp_msr_frontier_parallel
 from .pool import default_workers, parallel_map
-from .sweep import SweepPoint, sweep, sweep_bmr, sweep_msr
+from .sweep import SweepPoint, sweep
 
 __all__ = [
     "parallel_map",
@@ -12,7 +12,5 @@ __all__ = [
     "BackgroundResolver",
     "SweepPoint",
     "sweep",
-    "sweep_msr",
-    "sweep_bmr",
     "dp_msr_frontier_parallel",
 ]

@@ -44,18 +44,27 @@ class TestSolve:
         assert "infeasible" in captured.err
         assert captured.out == ""
 
-    def test_structural_graph_error_exits_2(self, graph_file, capsys, monkeypatch):
-        # A GraphError is a problem with the input, not a budget
-        # outcome: it must exit 2 with an "error:" line, never be
-        # reported as "infeasible".
+    @pytest.mark.parametrize(
+        "problem, solver, target",
+        [("bmr", "dp-bmr", "dp_bmr_heuristic"), ("msr", "dp-msr", "dp_msr")],
+        ids=["dp-bmr", "dp-msr"],
+    )
+    def test_structural_graph_error_exits_2(
+        self, graph_file, capsys, monkeypatch, problem, solver, target
+    ):
+        # A GraphError is a problem with the input (or an internal
+        # failure), not a budget outcome: it must exit 2 with an
+        # "error:" line, never be reported as "infeasible".  The solver
+        # function is patched, not the SOLVERS row, so the registry
+        # adapter's error rule is exercised.
         from repro.core import GraphError
         from repro.algorithms import registry
 
         def broken(graph, budget):
-            raise GraphError("dp_bmr requires a bidirectional tree input")
+            raise GraphError(f"{solver} failed on this input")
 
-        monkeypatch.setitem(registry.SOLVERS, ("bmr", "dp-bmr"), broken)
-        rc = main(["solve", "bmr", graph_file, "--budget", "600", "--solver", "dp-bmr"])
+        monkeypatch.setattr(registry, target, broken)
+        rc = main(["solve", problem, graph_file, "--budget", "600", "--solver", solver])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")

@@ -384,6 +384,7 @@ class TestRegistryBackends:
         ref = get_solver("bmr", "mp", backend="dict")
         rb = g.max_retrieval_cost()
         assert fast(g, rb) == ref(g, rb)
+        assert fast(g, -1.0) is None and ref(g, -1.0) is None
 
     def test_backend_ignored_for_non_greedy(self):
         dp = get_solver("msr", "dp-msr")

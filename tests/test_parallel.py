@@ -10,8 +10,7 @@ from repro.parallel import (
     default_workers,
     dp_msr_frontier_parallel,
     parallel_map,
-    sweep_bmr,
-    sweep_msr,
+    sweep,
 )
 from repro.algorithms import dp_msr_frontier, min_storage_plan_tree
 
@@ -55,8 +54,8 @@ class TestSweeps:
     def test_msr_sweep_serial_vs_parallel(self, graph):
         base = min_storage_plan_tree(graph).total_storage
         budgets = [base * f for f in (1.05, 1.3, 1.8, 2.5)]
-        serial = sweep_msr(graph, ["lmg", "lmg-all"], budgets, processes=1)
-        para = sweep_msr(graph, ["lmg", "lmg-all"], budgets, processes=2)
+        serial = sweep(graph, "msr", ["lmg", "lmg-all"], budgets, processes=1)
+        para = sweep(graph, "msr", ["lmg", "lmg-all"], budgets, processes=2)
         assert len(serial) == len(para) == 8
         for a, b in zip(serial, para):
             assert a.solver == b.solver and a.budget == b.budget
@@ -64,12 +63,12 @@ class TestSweeps:
 
     def test_msr_sweep_infeasible_budget(self, graph):
         base = min_storage_plan_tree(graph).total_storage
-        pts = sweep_msr(graph, ["lmg"], [base * 0.1], processes=1)
+        pts = sweep(graph, "msr", ["lmg"], [base * 0.1], processes=1)
         assert not pts[0].feasible
 
     def test_bmr_sweep(self, graph):
         budgets = [0.0, graph.max_retrieval_cost() * 3]
-        pts = sweep_bmr(graph, ["mp", "dp-bmr"], budgets, processes=1)
+        pts = sweep(graph, "bmr", ["mp", "dp-bmr"], budgets, processes=1)
         for p in pts:
             assert p.feasible
             assert p.score.max_retrieval <= p.budget + 1e-6
@@ -83,29 +82,28 @@ class TestSweeps:
 
         base = min_storage_plan_tree(graph).total_storage
         budgets = [base * f for f in (1.05, 1.4, 2.2)]
-        pts = sweep_msr(graph, ["lmg", "lmg-all"], budgets, processes=1)
+        pts = sweep(graph, "msr", ["lmg", "lmg-all"], budgets, processes=1)
         for p in pts:
             plan = get_solver("msr", p.solver)(graph, p.budget)
             assert p.score == evaluate_plan(graph, plan)
 
     def test_worker_initializer_under_spawn(self, graph):
-        # The initializer ships the graph plus the shared Edmonds start
-        # tree; under spawn both are pickled instead of inherited, so
+        # The initializer ships the graph with its warmed compiled
+        # cache; under spawn it is pickled instead of inherited, so
         # exercise that path explicitly (fork-only coverage otherwise).
-        from repro.fastgraph.arborescence import min_storage_parent_edges
         from repro.parallel.sweep import _init_worker, _run_task
 
         base = min_storage_plan_tree(graph).total_storage
         budgets = [base * 1.1, base * 2.0]
-        start_edges = min_storage_parent_edges(graph.compile())
+        graph.compile()
         tasks = [("msr", "lmg", budgets), ("msr", "lmg-all", budgets)]
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(
-            processes=2, initializer=_init_worker, initargs=(graph, start_edges)
+            processes=2, initializer=_init_worker, initargs=(graph,)
         ) as pool:
             chunks = pool.map(_run_task, tasks)
         flat = [p for chunk in chunks for p in chunk]
-        serial = sweep_msr(graph, ["lmg", "lmg-all"], budgets, processes=1)
+        serial = sweep(graph, "msr", ["lmg", "lmg-all"], budgets, processes=1)
         assert len(flat) == len(serial) == 4
         for a, b in zip(flat, serial):
             assert a.solver == b.solver and a.budget == b.budget

@@ -18,10 +18,9 @@ from repro.algorithms.registry import (
     get_engine_solver,
     get_solver,
     get_sweep,
-    sweep_start_edges,
 )
 from repro.core.problemspec import SPECS
-from repro.gen import natural_graph
+from repro.fastgraph import TRAJECTORY_SOLVERS
 
 #: The frozen solver-name sets: the registry must expose exactly these
 #: (no silent drops), mirrored by the CI smoke assertion in
@@ -44,6 +43,11 @@ class TestUnifiedTables:
     def test_no_silent_solver_drops(self):
         for table, problem, expected in EXPECTED_NAMES:
             assert names(table, problem) == expected
+        # the derived tables: one sweep per TRAJECTORY_SOLVERS row, and
+        # the greedy SOLVERS rows are the array backends themselves
+        assert set(SWEEPS) == set(TRAJECTORY_SOLVERS)
+        for key, backends in BACKENDS.items():
+            assert backends["array"] is SOLVERS[key]
 
     def test_every_key_problem_is_registered(self):
         for table in (SOLVERS, SWEEPS, ENGINE_KERNELS, BACKENDS):
@@ -69,11 +73,6 @@ class TestUnifiedTables:
     def test_new_engine_getter_requires_name(self):
         with pytest.raises(TypeError):
             get_engine_solver("msr")
-
-    def test_bmr_sweeps_share_no_start_tree(self):
-        # families without an arborescence start share nothing
-        g = natural_graph(15, seed=3)
-        assert sweep_start_edges("bmr", g, ["bmr-lmg"]) is None
 
 
 class TestUnknownSolverNames:

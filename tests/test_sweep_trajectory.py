@@ -2,7 +2,7 @@
 feasibility tolerance.
 
 The load-bearing guarantee: every grid point of
-:func:`repro.fastgraph.sweep_greedy_msr` is *identical* (parent map,
+:func:`repro.fastgraph.sweep_greedy` is *identical* (parent map,
 storage, retrieval) to an independent solver run at that budget — on
 preset datasets, float-cost graphs, and a hand-built instance that
 forces the replay to diverge and resume the live greedy.
@@ -20,10 +20,10 @@ from repro.algorithms import min_storage_plan_tree
 from repro.algorithms.registry import get_solver, get_sweep
 from repro.bench.harness import run_msr_experiment
 from repro.fastgraph import (
-    GREEDY_SWEEP_SOLVERS,
+    TRAJECTORY_SOLVERS,
     lmg_all_array,
     lmg_array,
-    sweep_greedy_msr,
+    sweep_greedy,
 )
 from repro.gen import random_digraph
 
@@ -48,6 +48,9 @@ PRESET_SCALES = {
 
 FRESH = {"lmg": lmg_array, "lmg-all": lmg_all_array}
 
+#: MSR solver names the trajectory sweep supports.
+MSR_SWEEP_SOLVERS = sorted(n for p, n in TRAJECTORY_SOLVERS if p == "msr")
+
 
 def grid_for(graph, points=9):
     """A budget grid spanning infeasible, boundary and loose budgets."""
@@ -60,7 +63,7 @@ def grid_for(graph, points=9):
 
 
 def assert_sweep_matches_fresh(graph, solver, budgets):
-    entries = sweep_greedy_msr(graph, solver, budgets)
+    entries = sweep_greedy(graph, "msr", solver, budgets)
     assert [e.budget for e in entries] == [float(b) for b in budgets]
     for e, b in zip(entries, budgets):
         try:
@@ -112,19 +115,19 @@ class TestWithinBudget:
 
 
 class TestTrajectorySweep:
-    @pytest.mark.parametrize("solver", GREEDY_SWEEP_SOLVERS)
+    @pytest.mark.parametrize("solver", MSR_SWEEP_SOLVERS)
     @pytest.mark.parametrize("seed", range(4))
     def test_random_graphs(self, solver, seed):
         g = random_digraph(14, extra_edge_prob=0.3, seed=seed)
         assert_sweep_matches_fresh(g, solver, grid_for(g))
 
-    @pytest.mark.parametrize("solver", GREEDY_SWEEP_SOLVERS)
+    @pytest.mark.parametrize("solver", MSR_SWEEP_SOLVERS)
     @pytest.mark.parametrize("name", sorted(PRESET_SCALES))
     def test_presets(self, solver, name):
         g = PRESETS[name].build(scale=PRESET_SCALES[name])
         assert_sweep_matches_fresh(g, solver, grid_for(g, points=7))
 
-    @pytest.mark.parametrize("solver", GREEDY_SWEEP_SOLVERS)
+    @pytest.mark.parametrize("solver", MSR_SWEEP_SOLVERS)
     @pytest.mark.parametrize("seed", range(3))
     def test_float_costs(self, solver, seed):
         # non-integer costs exercise boundary-budget float decisions
@@ -154,7 +157,7 @@ class TestTrajectorySweep:
         base = min_storage_plan_tree(g).total_storage  # a mat + two deltas
         assert base == 110.0
         tight, loose = 114.0, 160.0
-        entries = sweep_greedy_msr(g, "lmg", [tight, loose])
+        entries = sweep_greedy(g, "msr", "lmg", [tight, loose])
         ref_tight = lmg_array(g, tight)
         ref_loose = lmg_array(g, loose)
         assert entries[0].plan == ref_tight.to_plan()
@@ -165,7 +168,7 @@ class TestTrajectorySweep:
         assert "c" in map(str, ref_tight.to_plan().materialized)
         assert "b" not in map(str, ref_tight.to_plan().materialized)
 
-    @pytest.mark.parametrize("solver", GREEDY_SWEEP_SOLVERS)
+    @pytest.mark.parametrize("solver", MSR_SWEEP_SOLVERS)
     def test_duplicate_and_unsorted_budgets(self, solver):
         g = natural_graph(30, seed=5)
         base = min_storage_plan_tree(g).total_storage
@@ -175,29 +178,17 @@ class TestTrajectorySweep:
     def test_all_infeasible(self):
         g = natural_graph(20, seed=6)
         base = min_storage_plan_tree(g).total_storage
-        entries = sweep_greedy_msr(g, "lmg", [base * 0.1, base * 0.5])
+        entries = sweep_greedy(g, "msr", "lmg", [base * 0.1, base * 0.5])
         assert all(not e.feasible for e in entries)
 
     def test_empty_grid(self):
         g = natural_graph(20, seed=6)
-        assert sweep_greedy_msr(g, "lmg", []) == []
+        assert sweep_greedy(g, "msr", "lmg", []) == []
 
     def test_unknown_solver_raises(self):
         g = natural_graph(20, seed=6)
         with pytest.raises(KeyError):
-            sweep_greedy_msr(g, "mp", [1.0])
-
-    def test_start_edges_reuse(self):
-        from repro.fastgraph.arborescence import min_storage_parent_edges
-
-        g = natural_graph(30, seed=7)
-        cg = g.compile()
-        edges = min_storage_parent_edges(cg)
-        base = min_storage_plan_tree(g).total_storage
-        grid = [base * 1.1, base * 2.0]
-        with_edges = sweep_greedy_msr(g, "lmg", grid, start_edges=edges)
-        without = sweep_greedy_msr(g, "lmg", grid)
-        assert [e.plan for e in with_edges] == [e.plan for e in without]
+            sweep_greedy(g, "msr", "mp", [1.0])
 
     def test_registry_sweep_lookup(self):
         assert get_sweep("msr", "lmg") is not None
@@ -461,7 +452,7 @@ def test_graph_error_unused_guard():
     g.add_version("extra", 3.0)
     base = min_storage_plan_tree(g)
     try:
-        entries = sweep_greedy_msr(g, "lmg", [base.total_storage * 2])
+        entries = sweep_greedy(g, "msr", "lmg", [base.total_storage * 2])
         assert entries[0].feasible
     except GraphError:  # pragma: no cover - would indicate stale cache
         pytest.fail("stale compiled cache used after mutation")
