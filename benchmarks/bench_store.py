@@ -17,7 +17,12 @@ quantities the store exists to optimize:
 * **checkout LRU cache** — repeated checkouts of the deepest-chain
   working set, cached store vs ``checkout_cache=0``: the cache serves
   repeats from memory and cuts cold chains at cached ancestors
-  (``checkout_cache_speedup``), returning identical bytes.
+  (``checkout_cache_speedup``), returning identical bytes;
+* **engine-attached sync** — the same repository streamed commit by
+  commit through :meth:`IngestEngine.attach_store`, with two checkouts
+  after every arrival (mostly recent versions): total ``sync_seconds``
+  and the checkout cache hit ratio from the store's ``StoreOps``
+  counters.  The cache survives sync, so recent versions stay warm.
 
 Results go to ``BENCH_store.json`` at the repository root::
 
@@ -27,19 +32,23 @@ Results go to ``BENCH_store.json`` at the repository root::
 Acceptance gates (all deterministic booleans, committed in the smoke
 baseline): every checkout byte-identical, dedup engaged, fsck clean,
 migration object-for-object equal to a from-scratch build, migration
-touches only the tree diff.
+touches only the tree diff, and after every engine sync the object set
+equals the full mark-and-sweep live set (``sync_gc_matches_full_scan``:
+the GC's reference memo never keeps or drops what a scan would not).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 from collections import defaultdict
 from pathlib import Path
 
 from repro.algorithms.registry import get_solver
+from repro.engine import IngestEngine
 from repro.fastgraph import ArrayPlanTree, CompiledGraph
 from repro.fastgraph.arborescence import min_storage_parent_edges
 from repro.store import MaterializationStore, materialize, plan_parent_map
@@ -59,6 +68,12 @@ TRACKED_SPEEDUP_MIN_NODES = 300
 # store, plan B the re-solve target the migration benchmark moves to.
 SPAN_A = 2.0
 SPAN_B = 3.0
+# The engine-attached panel: the live plan's budget factor and the
+# client's read pattern after each arrival (the perfbench serve loop's).
+ENGINE_BUDGET_FACTOR = 8.0
+CHECKOUTS_PER_COMMIT = 2
+RECENT_SHARE = 0.8
+RECENT_WINDOW = 32
 
 
 def edge_set(plan):
@@ -75,6 +90,55 @@ def stores_equal(a, b) -> bool:
     if a_keys != b_keys:
         return False
     return all(a.objects.get(k) == b.objects.get(k) for k in a_keys)
+
+
+class _TimedStore(MaterializationStore):
+    """Times every ``sync`` and checks its GC against a full scan."""
+
+    sync_seconds = 0.0
+    syncs = 0
+    gc_matches_full_scan = True
+
+    def sync(self, plan, *, fetch=None):
+        t0 = time.perf_counter()
+        report = super().sync(plan, fetch=fetch)
+        self.sync_seconds += time.perf_counter() - t0
+        self.syncs += 1
+        live, _ = self._live_objects()
+        if set(self.objects.keys()) != live:
+            self.gc_matches_full_scan = False
+        return report
+
+
+def bench_engine_sync(repo) -> dict:
+    """Stream ``repo`` through an engine with an attached store."""
+    engine = IngestEngine(budget_factor=ENGINE_BUDGET_FACTOR)
+    store = _TimedStore()
+    engine.attach_store(store, repo)
+    rng = random.Random(SEED)
+    identical = True
+    for i, commit in enumerate(repo.commits):
+        engine.ingest_commit(repo, commit)
+        for _ in range(CHECKOUTS_PER_COMMIT):
+            if rng.random() < RECENT_SHARE:
+                v = rng.randint(max(0, i - RECENT_WINDOW + 1), i)
+            else:
+                v = rng.randint(0, i)
+            if store.checkout(v) != repo.commits[v].snapshot:
+                identical = False
+    hits, misses = store.ops.cache_hits, store.ops.cache_misses
+    return {
+        "budget_factor": ENGINE_BUDGET_FACTOR,
+        "syncs": store.syncs,
+        "resolves": engine.resolves,
+        "sync_seconds": store.sync_seconds,
+        "cache_hits": hits,
+        "cache_misses": misses,
+        "cache_hit_ratio": hits / (hits + misses) if hits + misses else 0.0,
+        "checkouts_identical": identical,
+        "gc_matches_full_scan": store.gc_matches_full_scan,
+        "fsck_clean": store.fsck() == [],
+    }
 
 
 def bench_store(nodes: int) -> dict:
@@ -159,6 +223,12 @@ def bench_store(nodes: int) -> dict:
         migrate_seconds / scratch_seconds if scratch_seconds else float("inf")
     )
 
+    # ---- engine-attached sync ----------------------------------------
+    engine_sync = bench_engine_sync(repo)
+    sync_gc_matches_full_scan = engine_sync.pop("gc_matches_full_scan")
+    fsck_clean &= engine_sync.pop("fsck_clean")
+    cache_checkouts_identical &= engine_sync.pop("checkouts_identical")
+
     ok = (
         roundtrip_identical
         and fsck_clean
@@ -166,10 +236,13 @@ def bench_store(nodes: int) -> dict:
         and migration_matches_scratch
         and migration_touches_only_diff
         and cache_checkouts_identical
+        and sync_gc_matches_full_scan
     )
     print(
         f"n={n:<6} dedup={dedup_ratio:6.2f}x "
         f"cache={checkout_cache_speedup:5.1f}x "
+        f"sync={engine_sync['sync_seconds'] * 1e3:7.1f} ms "
+        f"hits={engine_sync['cache_hit_ratio']:.2f} "
         f"materialize={materialize_seconds * 1e3:8.1f} ms "
         f"migrate={migrate_seconds * 1e3:7.1f} ms "
         f"scratch={scratch_seconds * 1e3:7.1f} ms "
@@ -215,7 +288,9 @@ def bench_store(nodes: int) -> dict:
             if n >= TRACKED_SPEEDUP_MIN_NODES
             else {}
         ),
+        "engine_sync": engine_sync,
         "cache_checkouts_identical": cache_checkouts_identical,
+        "sync_gc_matches_full_scan": sync_gc_matches_full_scan,
         "roundtrip_identical": roundtrip_identical,
         "dedup_engaged": stored_bytes <= raw_bytes,
         "fsck_clean": fsck_clean,
@@ -250,6 +325,7 @@ def main(argv: list[str] | None = None) -> int:
             "migration_matches_scratch",
             "migration_touches_only_diff",
             "cache_checkouts_identical",
+            "sync_gc_matches_full_scan",
         )
         if not payload[key]
     ]

@@ -18,7 +18,11 @@ content-addressed :class:`~repro.store.objects.ObjectStore`:
   symmetric difference of the two trees (pinned by the
   :class:`StoreOps` counter) and garbage-collects unreferenced
   objects, leaving the store object-for-object equal to a from-scratch
-  materialization of ``new_plan``;
+  materialization of ``new_plan``.  Neither step re-reads an object
+  the diff does not touch: the checkout cache keeps every version that
+  stays in the plan, and the GC marks live blobs from a memo of the
+  blob keys each record object references, filled when the object is
+  written (or on first GC after :meth:`MaterializationStore.open`);
 * ``fsck()`` re-hashes every object and walks every delta chain,
   reporting findings with the stable codes of :data:`FSCK_CODES`.
 
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -77,23 +81,23 @@ FSCK_CODES = (
 
 @dataclass
 class StoreOps:
-    """Cumulative operation counters (the migration-cost odometer)."""
+    """Cumulative operation counters.
+
+    The migration-cost odometer (edges, objects, bytes) plus checkout
+    ``cache_hits`` (the version itself was cached) and ``cache_misses``.
+    """
 
     edges_written: int = 0
     edges_deleted: int = 0
     objects_written: int = 0
     objects_deleted: int = 0
     bytes_written: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
 
     def snapshot(self) -> "StoreOps":
         """An independent copy of the current counters."""
-        return StoreOps(
-            self.edges_written,
-            self.edges_deleted,
-            self.objects_written,
-            self.objects_deleted,
-            self.bytes_written,
-        )
+        return replace(self)
 
 
 @dataclass(frozen=True)
@@ -136,6 +140,15 @@ class _Record:
     def to_json(self, v: Node) -> list:
         """JSON row ``[v, parent, kind, obj]`` for META persistence."""
         return [v, self.parent, self.kind, self.obj]
+
+
+def _object_refs(rec: _Record, data: bytes) -> tuple[str, ...]:
+    """Blob keys a record object's hash-verified payload references."""
+    if rec.kind == "full":
+        return tuple(decode_manifest(data).values())
+    return tuple(
+        e["blob"] for e in decode_delta(data).values() if e.get("op") == "create"
+    )
 
 
 def plan_parent_map(plan: StoragePlan) -> dict[Node, Node | None]:
@@ -210,10 +223,15 @@ class MaterializationStore:
         # LRU of digest-verified snapshots: repeated checkouts of nearby
         # versions replay only the chain suffix below the nearest cached
         # ancestor instead of re-decoding from the materialized root.
-        # 0 disables.  Every mutating op (materialize/sync/migrate)
-        # clears it — records and digests may change underneath.
+        # 0 disables.  sync/migrate evict exactly the versions that left
+        # the plan: a version's bytes and digest never change while it
+        # stays, only its parent edge does.
         self._cache_slots = int(checkout_cache)
         self._snap_cache: OrderedDict[Node, Snapshot] = OrderedDict()
+        # record object key -> blob keys it references, so the GC marks
+        # live blobs without reading objects; filled at write time, or
+        # on first GC for objects loaded from disk
+        self._refs: dict[str, frozenset[str]] = {}
 
     # ------------------------------------------------------------------
     # persistence
@@ -337,19 +355,22 @@ class MaterializationStore:
             data = blob_bytes(tuple(lines))
             manifest[path] = self._put(hash_object("blob", data), data)
         payload = encode_manifest(manifest)
-        return _Record(None, "full", self._put(
-            hash_object("manifest", payload), payload
-        ))
+        key = self._put(hash_object("manifest", payload), payload)
+        self._refs[key] = frozenset(manifest.values())
+        return _Record(None, "full", key)
 
     def _write_delta(self, p: Node, base: Snapshot, snap: Snapshot) -> _Record:
+        created: list[str] = []
+
         def blob_hash_of(path: str) -> str:
             data = blob_bytes(tuple(snap[path]))
-            return self._put(hash_object("blob", data), data)
+            created.append(self._put(hash_object("blob", data), data))
+            return created[-1]
 
         payload = encode_delta(base, snap, blob_hash_of=blob_hash_of)
-        return _Record(p, "delta", self._put(
-            hash_object("delta", payload), payload
-        ))
+        key = self._put(hash_object("delta", payload), payload)
+        self._refs[key] = frozenset(created)
+        return _Record(p, "delta", key)
 
     # ------------------------------------------------------------------
     # checkout
@@ -420,7 +441,9 @@ class MaterializationStore:
         """
         cached = self._cache_get(v)
         if cached is not None:
+            self.ops.cache_hits += 1
             return dict(cached)
+        self.ops.cache_misses += 1
         chain: list[tuple[Node, _Record]] = []
         x = v
         seen: set[Node] = set()
@@ -475,7 +498,9 @@ class MaterializationStore:
         *current* store state, or ``fetch``-ed for versions the store
         has never seen), stale edges are dropped, and unreferenced
         objects are garbage-collected.  The result is object-for-object
-        identical to materializing ``plan`` from scratch.
+        identical to materializing ``plan`` from scratch.  Cached
+        snapshots of versions that stay in the plan survive; only the
+        versions that left it are evicted.
         """
         new_parent = plan_parent_map(plan)
         _topo_order(new_parent)  # validates acyclicity up front
@@ -516,9 +541,9 @@ class MaterializationStore:
                 records[v] = self._records[v]
         self._records = records
         self._digests = {v: self._digests[v] for v in new_parent}
-        # drop cached snapshots: versions may have left the plan, and a
-        # cache hit must never resurrect a version the store dropped
-        self._snap_cache.clear()
+        # a cache hit must never resurrect a version the store dropped
+        for v in [v for v in self._snap_cache if v not in new_parent]:
+            del self._snap_cache[v]
         self.ops.edges_written += len(added)
         self.ops.edges_deleted += len(removed)
         deleted = self._gc()
@@ -549,7 +574,11 @@ class MaterializationStore:
         return self.sync(new_plan, fetch=fetch)
 
     def _live_objects(self) -> tuple[set[str], list[FsckFinding]]:
-        """Transitively referenced object keys + reference problems."""
+        """Transitively referenced object keys + reference problems.
+
+        The full scan ``fsck`` trusts: it reads and re-hashes every
+        record object instead of consulting the GC's reference memo.
+        """
         live: set[str] = set()
         findings: list[FsckFinding] = []
         for v, rec in sorted(self._records.items(), key=lambda kv: repr(kv[0])):
@@ -564,17 +593,30 @@ class MaterializationStore:
             if hash_object(rec.obj_kind, data) != rec.obj:
                 # referenced blobs are unknowable from a corrupt payload
                 continue
-            if rec.kind == "full":
-                live.update(decode_manifest(data).values())
-            else:
-                for entry in decode_delta(data).values():
-                    if entry.get("op") == "create":
-                        live.add(entry["blob"])
+            live.update(_object_refs(rec, data))
         return live, findings
 
     def _gc(self) -> int:
-        """Delete objects unreachable from the records; returns count."""
-        live, _ = self._live_objects()
+        """Delete objects unreachable from the records; returns count.
+
+        Live blobs come from the reference memo, so only record objects
+        never seen by this process (loaded by :meth:`open`) are read —
+        once, with the same hash check as :meth:`_live_objects`.  The
+        memo is pruned to the live record objects.
+        """
+        live: set[str] = set()
+        memo: dict[str, frozenset[str]] = {}
+        for rec in self._records.values():
+            live.add(rec.obj)
+            refs = self._refs.get(rec.obj)
+            if refs is None:
+                data = self.objects.get(rec.obj)
+                if data is None or hash_object(rec.obj_kind, data) != rec.obj:
+                    continue  # referenced blobs are unknowable
+                refs = frozenset(_object_refs(rec, data))
+            memo[rec.obj] = refs
+            live |= refs
+        self._refs = memo
         dead = [k for k in self.objects.keys() if k not in live]
         for k in dead:
             self.objects.delete(k)
@@ -609,14 +651,7 @@ class MaterializationStore:
                     f"{rec.kind} object of version {v!r} fails its hash",
                 ))
                 continue
-            blob_refs = (
-                decode_manifest(data).values() if rec.kind == "full"
-                else [
-                    e["blob"] for e in decode_delta(data).values()
-                    if e.get("op") == "create"
-                ]
-            )
-            for bh in blob_refs:
+            for bh in _object_refs(rec, data):
                 blob = self.objects.get(bh)
                 if blob is None:
                     findings.append(FsckFinding(

@@ -9,8 +9,11 @@ much of the chain it re-decodes:
   every version fits in the cache;
 * ``checkout_cache=0`` disables caching entirely;
 * callers may mutate returned snapshots without poisoning the cache;
-* ``sync`` invalidates: a version the new plan dropped can never be
-  resurrected from cache.
+* ``sync`` evicts only the versions the new plan dropped — those can
+  never be resurrected from cache, while every kept version stays warm
+  (its bytes and digest do not change, only its parent edge);
+* ``StoreOps`` counts a checkout served from the cache as a hit and
+  every other checkout as a miss.
 """
 
 import pytest
@@ -20,6 +23,7 @@ from repro.store import (
     MaterializationStore,
     MemoryObjectStore,
     StoreError,
+    plan_parent_map,
 )
 from repro.vcs import build_graph_from_repo
 
@@ -112,6 +116,7 @@ class TestCheckoutCache:
             store.checkout(commit.id)
         assert objects.gets == cold_gets
         assert not store._snap_cache
+        assert (store.ops.cache_hits, store.ops.cache_misses) == (0, 80)
 
     def test_caller_mutation_does_not_poison_the_cache(self):
         repo = cached_repo(40, seed=3)
@@ -145,3 +150,46 @@ class TestCheckoutCache:
         for commit in repo.commits:
             if commit.id != victim:
                 assert store.checkout(commit.id) == commit.snapshot
+
+
+class TestCacheSurvivesSync:
+    def test_kept_versions_check_out_without_reads(self):
+        repo = cached_repo(40, seed=3)
+        graph = cached_graph(40, seed=3)
+        old_plan = solved_plan(40, seed=3)
+        new_plan = get_solver("msr", "lmg", backend="array")(
+            graph, storage_span_budget(graph, 4.0)
+        )
+        old_parent = plan_parent_map(old_plan)
+        new_parent = plan_parent_map(new_plan)
+        # versions the sync keeps but re-parents: their cached snapshots
+        # must outlive the edge they were reconstructed through
+        moved = [v for v in new_parent if old_parent[v] != new_parent[v]]
+        assert moved
+        store, objects = fresh_store(old_plan, repo)
+        for commit in repo.commits:
+            store.checkout(commit.id)
+        objects.gets = 0
+        store.sync(new_plan)
+        # every snapshot the new edges need is cached, and the GC marks
+        # live blobs from its reference memo: the sync reads nothing
+        assert objects.gets == 0
+        for commit in repo.commits:
+            assert store.checkout(commit.id) == commit.snapshot
+        assert objects.gets == 0
+        assert store.fsck() == []
+
+
+class TestCacheCounters:
+    def test_repeated_checkout_is_one_miss_then_one_hit(self):
+        repo = cached_repo(40, seed=3)
+        store, _ = fresh_store(solved_plan(40, seed=3), repo)
+        v = repo.commits[-1].id
+        store.checkout(v)
+        assert (store.ops.cache_hits, store.ops.cache_misses) == (0, 1)
+        store.checkout(v)
+        assert (store.ops.cache_hits, store.ops.cache_misses) == (1, 1)
+        snap = store.ops.snapshot()
+        store.checkout(v)
+        assert (snap.cache_hits, snap.cache_misses) == (1, 1)
+        assert store.ops.cache_hits == 2

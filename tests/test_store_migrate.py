@@ -8,12 +8,23 @@ Two invariants pin ``MaterializationStore.migrate``:
 * **equivalence** — the migrated store is object-for-object equal to a
   from-scratch materialization of the new plan: same records, same
   object keys, same object bytes (garbage fully collected).
+
+The GC marks live blobs from a memo filled when objects are written,
+so it is also pinned against the full mark-and-sweep scan over a chain
+of syncs, including a reopened directory store whose memo starts cold.
 """
 
 import pytest
 
 from repro.algorithms.registry import get_solver
-from repro.store import materialize, plan_parent_map
+from repro.store import (
+    FileObjectStore,
+    MaterializationStore,
+    StoreError,
+    materialize,
+    plan_parent_map,
+)
+from repro.store.codec import decode_delta, hash_object
 
 
 def edge_set(plan):
@@ -106,8 +117,6 @@ def test_migrate_rejects_stale_old_plan(
     repo_factory, graph_factory, storage_budget
 ):
     """``migrate`` refuses an old_plan that doesn't match the store."""
-    from repro.store import StoreError
-
     repo = repo_factory(40, seed=3)
     graph = graph_factory(40, seed=3)
     plan_a = solve(graph, "msr", "lmg", storage_budget(graph, span=2.0))
@@ -132,3 +141,88 @@ def test_migration_cheaper_than_rematerialization(
     store = materialize(repo, plan_a)
     report = store.migrate(plan_a, plan_b)
     assert report.edges_rewritten < len(repo.commits)
+
+
+def test_gc_matches_full_scan_across_syncs(
+    tmp_path, repo_factory, graph_factory, storage_budget
+):
+    """After every sync the object set is exactly the mark-and-sweep
+    live set and a from-scratch build's, across a reopen and a stray."""
+    repo = repo_factory(60, seed=3)
+    graph = graph_factory(60, seed=3)
+    plans = [
+        solve(graph, "msr", "lmg", storage_budget(graph, span=span))
+        for span in (2.0, 4.0, 2.5, 8.0, 3.0, 2.0)
+    ]
+    store = MaterializationStore.open(tmp_path)
+    store.materialize(repo, plans[0])
+    stray = hash_object("blob", b"stray\n")
+    for i, plan in enumerate(plans[1:], start=1):
+        if i == 3:
+            # a fresh process: the reference memo starts cold, and a
+            # stray object must still be collected
+            store = MaterializationStore.open(tmp_path)
+            assert isinstance(store.objects, FileObjectStore)
+            assert store.objects.put(stray, b"stray\n")
+        store.sync(plan)
+        keys = set(store.objects.keys())
+        live, findings = store._live_objects()
+        assert not findings
+        assert keys == live
+        assert keys == set(materialize(repo, plan).objects.keys())
+        assert stray not in keys
+        assert store.fsck() == []
+    for commit in repo.commits:
+        assert store.checkout(commit.id) == commit.snapshot
+
+
+def test_corrupt_kept_delta_keeps_its_blobs(
+    repo_factory, graph_factory, storage_budget
+):
+    """The GC trusts the blobs a delta referenced when it was written.
+
+    A delta corrupted in place no longer decodes, so a full scan cannot
+    tell which blobs it created; the memoised GC still keeps them.  The
+    corruption itself stays visible: fsck reports it and checkout
+    refuses the version.
+    """
+    repo = repo_factory(60, seed=3)
+    graph = graph_factory(60, seed=3)
+    plan = solve(graph, "msr", "lmg", storage_budget(graph))
+    store = materialize(repo, plan)
+    live_before, _ = store._live_objects()
+
+    def created_blobs(rec):
+        return {
+            e["blob"] for e in decode_delta(store.objects.get(rec.obj)).values()
+            if e.get("op") == "create"
+        }
+
+    deltas = [
+        (v, rec) for v, rec in sorted(store._records.items(), key=repr)
+        if rec.kind == "delta" and created_blobs(rec)
+    ]
+    assert deltas
+    for v, rec in deltas:
+        blobs = created_blobs(rec)
+        data = store.objects.get(rec.obj)
+        store.objects.poke(rec.obj, data[:-1] + bytes([data[-1] ^ 0xFF]))
+        scanned, _ = store._live_objects()
+        if blobs - scanned:
+            break
+        store.objects.poke(rec.obj, data)  # blobs shared elsewhere
+    else:
+        pytest.fail("no delta creates a blob nothing else references")
+    orphans = blobs - scanned
+
+    report = store.sync(plan)
+    assert report.objects_deleted == 0
+    assert set(store.objects.keys()) == live_before
+    assert orphans <= set(store.objects.keys())
+    findings = store.fsck()
+    assert any(
+        f.code == "object-corrupt" and f.subject == rec.obj for f in findings
+    )
+    with pytest.raises(StoreError) as err:
+        store.checkout(v)
+    assert err.value.code == "object-corrupt"
